@@ -81,7 +81,8 @@ RunStats run_grain(Grain grain) {
     transports.push_back(std::make_unique<sim::SimTransport>(net, id));
     nodes.push_back(std::make_unique<core::HlsNode>(id, *transports.back()));
     for (std::uint32_t l = 0; l < store.hierarchy.resource_count(); ++l) {
-      nodes.back()->add_lock(LockId{l}, NodeId{l % kNodes});
+      nodes.back()->add_lock(LockId{l},
+                             NodeId{static_cast<std::uint32_t>(l % kNodes)});
     }
     net.register_node(id, [n = nodes.back().get()](const Message& m) {
       n->handle(m);

@@ -7,7 +7,11 @@
 // oracle step checks (`cmp` of --shards 1/2/8 runs). Wall-clock timing
 // (the only shard-dependent observable) goes to stderr:
 //
-//   [many-locks] shards=4 threads=4 rounds=812 wall_ms=93.1 ev/s=1.2e6
+//   [many-locks] shards=4 threads=4 rounds=812 lookahead_us=74999 ...
+//                wall_ms=93.1 ev/s=1.2e6
+//
+// lookahead_us is the conservative window (the cross-tree hop floor - 1,
+// or "inf" for an uncoupled forest, which runs in one round).
 //
 //   ./many_locks                                   # defaults, table
 //   ./many_locks --shards 8 --lock-count 1000000   # big forest, 8 slabs
@@ -110,6 +114,7 @@ int main(int argc, char** argv) {
   std::uint64_t cross_posts = 0;
   std::uint64_t mailbox_events = 0;
   std::uint64_t revalidations = 0;
+  Duration lookahead = 0;
   for (int i = 0; i < cli.repeat; ++i) {
     ManyLocksCluster cluster(cfg);
     const auto t0 = std::chrono::steady_clock::now();
@@ -122,6 +127,7 @@ int main(int argc, char** argv) {
     cross_posts = cluster.sharded().cross_posts();
     mailbox_events = cluster.sharded().mailbox_events();
     revalidations = cluster.sharded().window_revalidations();
+    lookahead = cluster.lookahead();
     r = cluster.result();
   }
 
@@ -131,7 +137,11 @@ int main(int argc, char** argv) {
   // not in the deterministic stdout report.
   std::cerr << "[many-locks] shards=" << cfg.shards << " threads="
             << (cfg.run_threads == 0 ? cfg.shards : cfg.run_threads)
-            << " rounds=" << rounds << " cross_posts=" << cross_posts
+            << " rounds=" << rounds << " lookahead_us="
+            << (lookahead == sim::ShardedSimulator::kUnbounded
+                    ? std::string("inf")
+                    : std::to_string(lookahead))
+            << " cross_posts=" << cross_posts
             << " mailbox_events=" << mailbox_events
             << " window_revalidations=" << revalidations
             << " wall_ms=" << best_ms << " ev/s="

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -98,14 +97,14 @@ struct ManyLocksCluster::CrossFlight {
   Duration acquire_span{0};
   std::uint32_t lock_requests{0};
   std::uint64_t leg_id{0};
-  std::function<void()> on_reply;
 };
 
 ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
     : config_(config),
       layout_(make_layout(config)),
       zipf_(layout_.pages(), config.spec.zipf_theta),
-      sharded_(config.shards) {
+      sharded_(config.shards),
+      cross_latency_(config.spec.net_latency_mean) {
   if (config.nodes == 0) throw std::invalid_argument("need >= 1 node");
   if (config.cross_tree_pct < 0.0 || config.cross_tree_pct > 100.0)
     throw std::invalid_argument("cross_tree_pct must be in [0, 100]");
@@ -257,25 +256,17 @@ void ManyLocksCluster::start_cross_op(TreeState& tree, std::size_t node,
     tree.sessions[node]->acquire(
         fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
           fl->lock_requests += r.lock_requests;
-          post_leg(fl, [this, fl] { begin_dwell(fl); });
+          post_leg(fl);
         });
   } else {
-    post_leg(fl, [this, fl] {
-      fl->home->sessions[fl->node]->acquire(
-          fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
-            fl->lock_requests += r.lock_requests;
-            begin_dwell(fl);
-          });
-    });
+    post_leg(fl);
   }
 }
 
-void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl,
-                                std::function<void()> on_reply) {
+void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl) {
   TreeState& home = *fl->home;
   TreeState& remote = *fl->remote;
   fl->leg_id = make_key(home);
-  fl->on_reply = std::move(on_reply);
   home.waiting_gateway[fl->node] = remote.index;
   sharded_.post(home.shard, remote.shard, home.sim->now() + sample_hop(home),
                 fl->leg_id, [this, fl] {
@@ -309,12 +300,23 @@ void ManyLocksCluster::gateway_pump(TreeState& tree) {
         // Reply: the requester resumes on its own shard, one hop later.
         sharded_.post(remote.shard, fl->home->shard,
                       remote.sim->now() + sample_hop(remote), make_key(remote),
-                      [fl] {
-                        fl->home->waiting_gateway[fl->node] = -1;
-                        std::function<void()> reply = std::move(fl->on_reply);
-                        fl->on_reply = nullptr;
-                        reply();
-                      });
+                      [this, fl] { leg_replied(fl); });
+      });
+}
+
+void ManyLocksCluster::leg_replied(const std::shared_ptr<CrossFlight>& fl) {
+  // No continuation is stored in the flight: a stored closure holding
+  // `fl` would keep a deadlocked flight alive forever (a shared_ptr
+  // cycle), so the next step is derived from home_first instead.
+  fl->home->waiting_gateway[fl->node] = -1;
+  if (fl->home_first) {
+    begin_dwell(fl);
+    return;
+  }
+  fl->home->sessions[fl->node]->acquire(
+      fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+        fl->lock_requests += r.lock_requests;
+        begin_dwell(fl);
       });
 }
 
@@ -357,12 +359,9 @@ void ManyLocksCluster::finish_cross_op(const std::shared_ptr<CrossFlight>& fl) {
 }
 
 Duration ManyLocksCluster::sample_hop(TreeState& src) {
-  // Cross-shard hops mirror the flat network's uniform distribution; its
-  // floor (mean / 2) participates in the lookahead() derivation, which
-  // is what makes every posted arrival land beyond the window it was
-  // sent in.
-  const Duration mean = config_.spec.net_latency_mean;
-  return src.cross_rng.uniform(mean / 2, mean + mean / 2);
+  // The model's floor is what lookahead() derives the window from, so
+  // every posted arrival lands beyond the window it was sent in.
+  return cross_latency_.sample(src.cross_rng);
 }
 
 std::uint64_t ManyLocksCluster::make_key(TreeState& src) {
@@ -373,13 +372,12 @@ std::uint64_t ManyLocksCluster::make_key(TreeState& src) {
 }
 
 Duration ManyLocksCluster::lookahead() const {
-  Duration m = std::numeric_limits<Duration>::max();
-  for (const auto& tree : trees_) m = std::min(m, tree->net->latency_min());
-  if (coupling_) m = std::min(m, config_.spec.net_latency_mean / 2);
-  // run_until() is inclusive of its horizon, so the safe window sits
-  // STRICTLY below the minimum latency: an event sent inside (T, H] must
-  // arrive after H.
-  return m > 0 ? m - 1 : 0;
+  // Intra-tree events stay on their tree's shard; only cross-tree hops
+  // are posted, so only their floor bounds the window. run_until() is
+  // inclusive of its horizon, so the safe window sits STRICTLY below
+  // that floor: an event sent inside (T, H] must arrive after H.
+  if (!coupling_) return sim::ShardedSimulator::kUnbounded;
+  return std::max<Duration>(cross_latency_.min_latency() - 1, 0);
 }
 
 void ManyLocksCluster::run() {

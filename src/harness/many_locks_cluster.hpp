@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -38,6 +37,7 @@
 #include "harness/sim_executor.hpp"
 #include "lockmgr/plan_session.hpp"
 #include "lockmgr/waitgraph.hpp"
+#include "sim/latency.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simnet.hpp"
 #include "workload/forest.hpp"
@@ -63,8 +63,8 @@ struct ManyLocksConfig {
   /// Clustered per-tree topology: > 1 with intra_latency_mean > 0 wraps
   /// each tree's network in ClusteredLatency (block placement, intra
   /// uniform around intra_latency_mean, inter around net_latency_mean).
-  /// The derived lookahead then shrinks to the intra floor — the bug the
-  /// old hard-coded `net_latency_mean / 2` window got wrong.
+  /// Intra-tree traffic never leaves its shard, so the cheap intra floor
+  /// does not narrow the sharded window (see lookahead()).
   std::size_t clusters{0};
   Duration intra_latency_mean{0};
   /// spec.lock_count = total locks across the forest (split evenly per
@@ -112,10 +112,11 @@ class ManyLocksCluster {
   /// cycle -> lost request, a harness/protocol bug, and run() throws.
   void run();
 
-  /// Conservative window derived from the *models*: min over every tree's
-  /// network of min_latency(), min'd with the cross-tree hop floor when
-  /// coupling is on, minus one (run_until is inclusive of its horizon, so
-  /// the safe lookahead sits strictly below the minimum latency).
+  /// Conservative window: the cross-tree hop model's min_latency() - 1
+  /// when coupling is on (run_until is inclusive of its horizon, so the
+  /// safe lookahead sits strictly below the minimum latency), else
+  /// ShardedSimulator::kUnbounded. Only cross-tree hops leave a shard, so
+  /// the tree networks' own floors do not bound it.
   [[nodiscard]] Duration lookahead() const;
 
   /// Instantaneous forest-wide wait-for graph: per-tree engine scans
@@ -149,8 +150,8 @@ class ManyLocksCluster {
   // Multi-tree transaction machinery (see .cpp flow comments).
   void start_cross_op(TreeState& tree, std::size_t node,
                       const workload::ForestOp& op);
-  void post_leg(const std::shared_ptr<CrossFlight>& fl,
-                std::function<void()> on_reply);
+  void post_leg(const std::shared_ptr<CrossFlight>& fl);
+  void leg_replied(const std::shared_ptr<CrossFlight>& fl);
   void gateway_pump(TreeState& tree);
   void gateway_release(TreeState& tree, std::uint64_t leg_id);
   void begin_dwell(const std::shared_ptr<CrossFlight>& fl);
@@ -162,6 +163,8 @@ class ManyLocksCluster {
   workload::ForestLayout layout_;
   workload::ZipfTable zipf_;
   sim::ShardedSimulator sharded_;
+  /// Cross-tree hop latency, sampled from each source tree's cross_rng.
+  sim::UniformLatency cross_latency_;
   bool coupling_{false};
   std::uint64_t deadlock_cycles_{0};
   std::vector<std::unique_ptr<TreeState>> trees_;

@@ -24,12 +24,15 @@ class LatencyModel {
   /// report the paper's "latency factor".
   [[nodiscard]] virtual Duration mean() const = 0;
   /// Hard lower bound of the distribution's support: no sample() or
-  /// sample_pair() draw may ever come back below this. The sharded
-  /// simulator derives its conservative lookahead window from the
-  /// minimum over every model in the forest, so an optimistic bound here
-  /// is a correctness bug, not a tuning knob (SimNetwork debug-asserts
-  /// every sample against it). Pure virtual on purpose: a model that
-  /// cannot state its floor cannot be scheduled conservatively.
+  /// sample_pair() draw may ever come back below this (SimNetwork
+  /// debug-asserts every sample against it). A model that carries
+  /// cross-shard events bounds the sharded simulator's conservative
+  /// window — lookahead = min_latency() - 1 — so for such a model an
+  /// optimistic floor is a correctness bug, not a tuning knob; the
+  /// simulator throws on the first post that lands inside its window.
+  /// Models whose events stay on one shard (a tree's own network) do not
+  /// bound the window at all. Pure virtual on purpose: every model must
+  /// be able to state its floor.
   [[nodiscard]] virtual Duration min_latency() const = 0;
   /// Endpoint-aware sampling; flat models ignore the pair and MUST keep
   /// delegating to sample() so topology-free runs consume the identical
@@ -108,8 +111,7 @@ class ClusteredLatency final : public LatencyModel {
   [[nodiscard]] Duration mean() const override { return inter_->mean(); }
   /// Any pair may route to either component, so the only safe floor is
   /// the minimum of the two supports — with a cheap intra-cluster model
-  /// this dips far below inter/2, which is precisely why a lookahead
-  /// hard-coded from the flat mean is an unsafe window here.
+  /// this dips far below inter/2.
   [[nodiscard]] Duration min_latency() const override {
     return intra_->min_latency() < inter_->min_latency()
                ? intra_->min_latency()

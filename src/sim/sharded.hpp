@@ -8,9 +8,16 @@
 //
 //   round: drain cross-shard mailboxes into destination shards
 //          T    = min over shards of next_event_time()
-//          H    = T + lookahead        (lookahead < min event latency)
+//          H    = T + lookahead        (saturating; lookahead < min
+//                                       latency of every post())
 //          each shard with work <= H runs run_until(H), in parallel
 //          barrier; repeat until every queue AND every mailbox drains
+//
+// Only post() crosses shards, so only the latency of posted events bounds
+// the window. A shard's own events (a tree's SimNetwork deliveries,
+// timers) never leave it and may be arbitrarily close together; they
+// cost nothing in rounds. A run with no cross traffic at all passes
+// kUnbounded and finishes in one round.
 //
 // Cross-shard traffic (multi-tree transactions) goes through post(): the
 // source shard appends to its private mailbox row during the round, and
@@ -21,28 +28,34 @@
 // time, so a run where source and destination share a shard (direct
 // insertion at send time) is bit-identical to one where the event rides
 // a mailbox (insertion at the barrier). That, plus the strict lookahead
-// bound (`lookahead < minimum cross-event latency`, so every arrival
-// lands strictly beyond the window it was sent in), keeps sharded runs
-// byte-identical to the serial oracle — which is exactly what the CI
-// determinism step compares, now with coupled traffic.
+// bound, keeps sharded runs byte-identical to the serial oracle — which
+// is exactly what the CI determinism step compares, now with coupled
+// traffic.
 //
-// Window revalidation: the drain re-checks every arrival against the
-// destination's clock. An arrival at t <= last_executed() contradicts
-// history — the run aborts (throws); the lookahead was unsafe. An
-// arrival inside (last_executed(), now()] only means the previous window
-// overshot an idle stretch: the destination clock rolls back, the round's
-// T/H derivation starts over from scratch including the new event, and a
-// revalidation counter records that the window was re-derived.
+// The bound is checked where it can break: post() throws when an event
+// lands at or before the running round's horizon H, the moment an unsafe
+// lookahead first shows. Every arrival therefore lands beyond the window
+// it was sent in, and horizons only grow.
+//
+// Window revalidation: posts made between run_all() calls bypass that
+// check, so the drain re-checks every arrival against the destination's
+// clock. An arrival at t <= last_executed() contradicts history — the
+// run aborts (throws). An arrival inside (last_executed(), now()] only
+// means an earlier window coasted the idle clock past it: the clock
+// rolls back and a revalidation counter records it.
 //
 // Within a round each shard is claimed by exactly one worker, so every
 // Simulator stays single-threaded; the round barrier (mutex + condvar)
 // provides the cross-round happens-before edge when a shard migrates
 // between workers (mailbox rows are written only by their source shard's
-// worker and read only by the coordinator after the barrier).
+// worker and read only by the coordinator after the barrier). An
+// exception thrown on a worker is carried to the coordinator and
+// rethrown from run_all().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -53,6 +66,10 @@ namespace hlock::sim {
 
 class ShardedSimulator {
  public:
+  /// Lookahead for a run with no cross-shard traffic: one window covers
+  /// everything, and any post() during the run throws.
+  static constexpr Duration kUnbounded = std::numeric_limits<Duration>::max();
+
   /// Create `shards` independent simulators (>= 1).
   explicit ShardedSimulator(std::size_t shards);
 
@@ -76,7 +93,8 @@ class ShardedSimulator {
   /// posts insert directly, cross-shard posts ride `src`'s private
   /// mailbox row until the next round barrier. `t` must be strictly
   /// beyond the current window's horizon, which the caller guarantees by
-  /// sampling the event latency >= lookahead + 1.
+  /// sampling the event latency >= lookahead + 1; throws
+  /// std::runtime_error otherwise (same-shard posts included).
   void post(std::size_t src, std::size_t dst, TimePoint t,
             std::uint64_t key, Simulator::EventFn fn);
 
@@ -87,8 +105,9 @@ class ShardedSimulator {
   }
   /// All post() calls, including same-shard direct insertions.
   [[nodiscard]] std::uint64_t cross_posts() const;
-  /// Rounds whose T/H had to be re-derived because an arrival landed
-  /// inside an already-run (but idle) window stretch.
+  /// Arrivals that landed inside an already-run (but idle) window
+  /// stretch and rolled the destination's clock back. Only posts made
+  /// between run_all() calls can do that (see file header).
   [[nodiscard]] std::uint64_t window_revalidations() const {
     return window_revalidations_;
   }
@@ -96,7 +115,8 @@ class ShardedSimulator {
   /// Advance every shard until all queues and mailboxes drain.
   /// `lookahead` is the conservative window beyond the global minimum
   /// next-event time; it must be *strictly below* the minimum latency of
-  /// every cross-shard event (use min_latency() - 1; must be >= 0).
+  /// every post() (the cross channel's min_latency() - 1; >= 0), or
+  /// kUnbounded when nothing is posted. Local events do not bound it.
   /// `threads` caps the worker pool; <= 1 or a single shard runs the
   /// serial path — identical window/drain arithmetic, each shard
   /// advanced in shard-index order on the calling thread, the
@@ -115,6 +135,7 @@ class ShardedSimulator {
     Simulator::EventFn fn;
   };
 
+  void run_serial(Duration lookahead, std::uint64_t max_events);
   void run_parallel(Duration lookahead, std::size_t workers,
                     std::uint64_t max_events);
   /// Move every mailbox row into its destination shards, revalidating
@@ -129,6 +150,9 @@ class ShardedSimulator {
   /// post counters (summed on demand, so post() needs no atomics).
   std::vector<std::vector<CrossEvent>> mail_;
   std::vector<std::uint64_t> posts_per_src_;
+  /// The running round's H; kNever outside run_all(). Written by the
+  /// coordinator before it releases the round, read by post().
+  TimePoint horizon_{Simulator::kNever};
   std::uint64_t rounds_{0};
   std::uint64_t mailbox_events_{0};
   std::uint64_t window_revalidations_{0};

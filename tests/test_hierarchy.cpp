@@ -34,7 +34,7 @@ TEST(Hierarchy, StructureAndNames) {
   EXPECT_FALSE(h.parent_of(h.root()).valid());
   EXPECT_EQ(h.children_of(h.root()).size(), 2u);
   EXPECT_EQ(h.children_of(ResourceId{1}).size(), 2u);
-  EXPECT_THROW(h.name_of(ResourceId{9}), std::out_of_range);
+  EXPECT_THROW((void)h.name_of(ResourceId{9}), std::out_of_range);
 }
 
 TEST(Hierarchy, PathToLeaf) {

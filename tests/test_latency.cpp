@@ -152,11 +152,10 @@ TEST(ClusteredLatency, PairlessSampleAndMeanAreInterCluster) {
 }
 
 TEST(LatencyModel, MinLatencyIsTheSupportFloor) {
-  // min_latency() feeds the sharded simulator's conservative lookahead:
-  // it must be the hard floor of each distribution, and for the clustered
-  // composite the min over BOTH components — a cheap intra model drags it
-  // far below inter/2, which is why a lookahead hard-coded from the flat
-  // mean is unsafe on clustered topologies.
+  // A cross-shard model's min_latency() sets the sharded simulator's
+  // conservative lookahead, so it must be the hard floor of each
+  // distribution, and for the clustered composite the min over BOTH
+  // components — a cheap intra model drags it far below inter/2.
   EXPECT_EQ(ConstantLatency(msec(150)).min_latency(), msec(150));
   EXPECT_EQ(UniformLatency(msec(150)).min_latency(), msec(75));
   EXPECT_EQ(ExponentialLatency(msec(150), msec(15)).min_latency(), msec(15));

@@ -14,7 +14,7 @@ TEST(ResourceLayout, LockIdAssignment) {
   EXPECT_EQ(layout.entry_lock(4), LockId{5});
   EXPECT_EQ(layout.entry_count(), 5u);
   EXPECT_EQ(layout.lock_count(), 6u);
-  EXPECT_THROW(layout.entry_lock(5), std::out_of_range);
+  EXPECT_THROW((void)layout.entry_lock(5), std::out_of_range);
   EXPECT_THROW(ResourceLayout(0), std::invalid_argument);
 }
 

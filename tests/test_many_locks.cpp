@@ -137,30 +137,71 @@ TEST(ShardedSimulator, SameShardPostMatchesMailboxPost) {
   EXPECT_EQ(sharded.cross_posts(), 2u);
 }
 
+TEST(ShardedSimulator, CrossPostInsideTheHorizonThrows) {
+  // A deliberately oversized lookahead (100) against a 10-tick hop: the
+  // post at t=50 lands at t=60, inside the running window (0, 100]. The
+  // post itself must throw — serially, from a worker thread, and for a
+  // same-shard post that would never touch a mailbox.
+  const auto run = [](std::size_t shards, std::size_t threads) {
+    sim::ShardedSimulator sharded(shards);
+    sharded.shard(shards - 1).schedule_at(0, [] {});
+    sharded.shard(0).schedule_at(50, [&sharded, shards] {
+      sharded.post(0, shards - 1, 60, /*key=*/1, [] {});
+    });
+    sharded.run_all(/*lookahead=*/100, threads);
+  };
+  EXPECT_THROW(run(2, 1), std::runtime_error);
+  EXPECT_THROW(run(2, 2), std::runtime_error);
+  EXPECT_THROW(run(1, 1), std::runtime_error);
+}
+
+TEST(ShardedSimulator, UnboundedLookaheadDoesNotOverflow) {
+  // T + kUnbounded must saturate, not wrap (UBSan traps signed
+  // overflow). One window then covers every event, however late, while
+  // an idle shard is never run and its clock stays put.
+  for (const std::size_t threads : {1, 2}) {
+    sim::ShardedSimulator sharded(3);
+    std::atomic<int> ran{0};
+    sharded.shard(0).schedule_at(5, [&] { ++ran; });
+    sharded.shard(1).schedule_at(sim::Simulator::kNoEvent - 10,
+                                 [&] { ++ran; });
+    sharded.run_all(sim::ShardedSimulator::kUnbounded, threads);
+    EXPECT_EQ(ran.load(), 2);
+    EXPECT_EQ(sharded.rounds(), 1u);
+    EXPECT_EQ(sharded.shard(2).now(), 0);
+  }
+  // Nothing may be posted into an unbounded window.
+  sim::ShardedSimulator sharded(2);
+  sharded.shard(0).schedule_at(0, [&] {
+    sharded.post(0, 1, sim::Simulator::kNoEvent - 1, /*key=*/1, [] {});
+  });
+  EXPECT_THROW(sharded.run_all(sim::ShardedSimulator::kUnbounded, 1),
+               std::runtime_error);
+}
+
 TEST(ShardedSimulator, ArrivalInsideExecutedHorizonThrows) {
-  // Shard 1 executes up to t=100 in the first window (lookahead 100);
-  // shard 0 posts an arrival at t=60, behind shard 1's last executed
-  // event — a causality violation the drain must refuse to paper over.
+  // post() refuses arrivals inside a running window; a post made between
+  // runs is checked by the drain instead. Shard 1 has executed t=100, so
+  // an arrival at t=60 contradicts its history and must abort the run.
   sim::ShardedSimulator sharded(2);
   sharded.shard(1).schedule_at(0, [] {});
   sharded.shard(1).schedule_at(100, [] {});
-  sharded.shard(0).schedule_at(50, [&] {
-    sharded.post(0, 1, 60, /*key=*/1, [] {});
-  });
+  sharded.run_all(/*lookahead=*/100, /*threads=*/1);
+  sharded.post(0, 1, 60, /*key=*/1, [] {});
   EXPECT_THROW(sharded.run_all(/*lookahead=*/100, /*threads=*/1),
                std::runtime_error);
 }
 
 TEST(ShardedSimulator, IdleOvershootRevalidatesTheWindow) {
   // Shard 1's clock coasts to the horizon (t=100) with nothing executed
-  // past t=0; an arrival at t=60 is then sound — the drain rolls the
-  // idle clock back, counts a revalidation, and the event runs.
+  // past t=0; an arrival at t=60, posted between runs, is then sound —
+  // the drain rolls the idle clock back, counts a revalidation, and the
+  // event runs.
   sim::ShardedSimulator sharded(2);
   bool ran = false;
   sharded.shard(1).schedule_at(0, [] {});
-  sharded.shard(0).schedule_at(50, [&] {
-    sharded.post(0, 1, 60, /*key=*/1, [&] { ran = true; });
-  });
+  sharded.run_all(/*lookahead=*/100, /*threads=*/1);
+  sharded.post(0, 1, 60, /*key=*/1, [&] { ran = true; });
   sharded.run_all(/*lookahead=*/100, /*threads=*/1);
   EXPECT_TRUE(ran);
   EXPECT_EQ(sharded.window_revalidations(), 1u);
@@ -348,30 +389,60 @@ TEST(ManyLocks, UnorderedDeadlockRunIsStillShardInvariant) {
   EXPECT_EQ(serial, run_with(cfg, 2, 2));
 }
 
-TEST(ManyLocks, LookaheadDerivedFromModelsNotHardcodedMean) {
-  // Flat forest: floor is uniform's mean/2, minus one for the inclusive
-  // horizon. Clustered forest: the intra-cluster floor governs — the old
-  // hard-coded net_latency_mean / 2 window would overshoot it 150-fold
-  // and tear the determinism guarantee (arrivals inside executed
-  // history).
+TEST(ManyLocks, LookaheadIsTheCrossHopFloorOnly) {
+  // Only cross-tree hops are posted between shards, so only their floor
+  // (uniform's mean/2, minus one for the inclusive horizon) bounds the
+  // window — clustered or not: the 1000 us intra-cluster model stays on
+  // its tree's shard. Without coupling nothing crosses at all, so the
+  // window is unbounded and the whole forest runs in one round.
   ManyLocksConfig flat = small_config();
-  {
-    ManyLocksCluster cluster(flat);
-    EXPECT_EQ(cluster.lookahead(), flat.spec.net_latency_mean / 2 - 1);
-  }
   ManyLocksConfig clustered = small_config();
   clustered.clusters = 2;
   clustered.intra_latency_mean = usec(1000);
-  {
-    ManyLocksCluster cluster(clustered);
-    EXPECT_EQ(cluster.lookahead(), usec(1000) / 2 - 1);
-    EXPECT_LT(cluster.lookahead(), clustered.spec.net_latency_mean / 2);
+  for (ManyLocksConfig cfg : {flat, clustered}) {
+    cfg.shards = 3;
+    {
+      ManyLocksCluster uncoupled(cfg);
+      EXPECT_EQ(uncoupled.lookahead(), sim::ShardedSimulator::kUnbounded);
+      uncoupled.run();
+      EXPECT_EQ(uncoupled.rounds(), 1u);
+    }
+    cfg.cross_tree_pct = 20.0;
+    ManyLocksCluster coupled(cfg);
+    EXPECT_EQ(coupled.lookahead(), cfg.spec.net_latency_mean / 2 - 1);
+    coupled.run();
+    EXPECT_GT(coupled.rounds(), 1u);
+  }
+}
+
+TEST(ManyLocks, ClusteredUncoupledForestRunsInOneRound) {
+  // The unbounded window must not change a single result: serial oracle
+  // vs 2 and 4 shards, serial and pooled, all in exactly one round.
+  ManyLocksConfig cfg = small_config();
+  cfg.clusters = 2;
+  cfg.intra_latency_mean = usec(50);
+  cfg.shards = 1;
+  cfg.run_threads = 1;
+  ManyLocksCluster oracle(cfg);
+  oracle.run();
+  const ManyLocksResult serial = oracle.result();
+  EXPECT_EQ(serial.ops, 6u * 3 * 8);
+  for (const std::size_t shards : {2, 4}) {
+    for (const std::size_t threads : {1, 2}) {
+      cfg.shards = shards;
+      cfg.run_threads = threads;
+      ManyLocksCluster cluster(cfg);
+      cluster.run();
+      EXPECT_EQ(cluster.result(), serial);
+      EXPECT_EQ(cluster.rounds(), 1u);
+    }
   }
 }
 
 TEST(ManyLocks, ClusteredCoupledForestStaysDeterministic) {
-  // The regression the derived lookahead exists for: clustered topology
-  // (intra floor far below the flat mean) plus cross-shard coupling.
+  // Clustered topology (intra floor far below the flat mean) plus
+  // cross-shard coupling: the window follows the cross-hop floor and
+  // passes right over many intra-cluster deliveries per round.
   ManyLocksConfig cfg = small_config();
   cfg.clusters = 2;
   cfg.intra_latency_mean = usec(1000);

@@ -169,7 +169,9 @@ TEST(FreezeTable, ClosedFormProperties) {
       // A frozen mode is never the queued request's own remedy: freezing
       // modes compatible with the queued one would be self-defeating.
       for (const Mode m : kRealModes) {
-        if (f.contains(m)) EXPECT_FALSE(compatible(m, queued));
+        if (f.contains(m)) {
+          EXPECT_FALSE(compatible(m, queued));
+        }
       }
     }
   }

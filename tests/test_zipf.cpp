@@ -92,7 +92,9 @@ TEST(ForestLayout, PartitionsIdSpaceExactly) {
       EXPECT_EQ(layout.dbs() == 0, levels == 3);
       // Level-order ids tile [0, locks) with no gaps or overlaps.
       EXPECT_EQ(layout.top_lock().value, 0u);
-      if (levels == 4) EXPECT_EQ(layout.db_lock(0).value, 1u);
+      if (levels == 4) {
+        EXPECT_EQ(layout.db_lock(0).value, 1u);
+      }
       EXPECT_EQ(layout.collection_lock(0).value, 1 + layout.dbs());
       EXPECT_EQ(layout.page_lock(layout.pages() - 1).value, locks - 1);
     }
@@ -139,8 +141,9 @@ TEST(ForestOpGen, PlansAreTopDownAndLevelCorrect) {
     for (std::size_t s = 0; s + 1 < plan.size(); ++s)
       EXPECT_EQ(plan[s].mode, lockmgr::intent_for(op.leaf_mode));
     EXPECT_EQ(plan.back().mode, op.leaf_mode);
-    if (!op.collection_scope)
+    if (!op.collection_scope) {
       EXPECT_EQ(plan.back().lock.value, layout.page_lock(op.page).value);
+    }
   }
 }
 

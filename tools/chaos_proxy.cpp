@@ -22,7 +22,7 @@
 // smoke run exercises every path without a seed. One poll loop, no
 // threads; Ctrl-C / SIGTERM prints a summary and exits.
 //
-//   chaos_proxy --listen 7100 --target 127.0.0.1:7000 \
+//   chaos_proxy --listen 7100 --target 127.0.0.1:7000
 //       --reset-every 3 --reset-after-bytes 512 --garbage-every 9
 #include <arpa/inet.h>
 #include <csignal>

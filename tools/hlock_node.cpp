@@ -1,10 +1,10 @@
 // hlock_node — a standalone protocol node over real TCP, driven by a tiny
 // command REPL on stdin. Lets you run a genuine multi-PROCESS cluster:
 //
-//   terminal 1:  ./hlock_node --id 0 --port 7000 \
-//                    --peer 1=127.0.0.1:7001 --peer 2=127.0.0.1:7002 \
+//   terminal 1:  ./hlock_node --id 0 --port 7000
+//                    --peer 1=127.0.0.1:7001 --peer 2=127.0.0.1:7002
 //                    --locks 3
-//   terminal 2:  ./hlock_node --id 1 --port 7001 --peer 0=127.0.0.1:7000 \
+//   terminal 2:  ./hlock_node --id 1 --port 7001 --peer 0=127.0.0.1:7000
 //                    --peer 2=127.0.0.1:7002 --locks 3
 //   ...
 //
