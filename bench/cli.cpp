@@ -64,7 +64,6 @@ int parse_int(const std::string& flag, const std::string& text,
 CliOptions parse_cli(int argc, char** argv, const char* usage,
                      CliOptions defaults, const ExtraFlag& extra) {
   CliOptions opt = defaults;
-  bool disk_cache = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
@@ -122,12 +121,6 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
       opt.json = true;
     } else if (arg == "--no-memo") {
       opt.memo = false;
-    } else if (arg == "--cache-dir") {
-      opt.cache_dir = value();
-      if (opt.cache_dir.empty())
-        usage_error("--cache-dir expects a directory", usage);
-    } else if (arg == "--no-disk-cache") {
-      disk_cache = false;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << usage;
       std::exit(0);
@@ -137,14 +130,6 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
       usage_error("unknown argument " + arg, usage);
     }
   }
-  // HLOCK_CACHE_DIR opts whole shells/CI jobs into the disk cache without
-  // touching each command line; an explicit --cache-dir wins, and
-  // --no-disk-cache turns both off.
-  if (opt.cache_dir.empty()) {
-    if (const char* env = std::getenv("HLOCK_CACHE_DIR"))
-      opt.cache_dir = *env != '\0' ? env : ".hlock-cache";
-  }
-  if (!disk_cache) opt.cache_dir.clear();
   return opt;
 }
 
@@ -160,7 +145,6 @@ harness::SweepOptions sweep_options(const CliOptions& cli) {
   opts.threads = cli.threads;
   opts.memoize = cli.memo;
   opts.repeat = cli.repeat;
-  opts.cache_dir = cli.cache_dir;
   return opts;
 }
 

@@ -10,11 +10,6 @@
 //   --repeat N     evaluate every point N times (wall-clock timing;
 //                  disables the memo cache)
 //   --no-memo      disable the in-process point memo cache
-//   --cache-dir D  persist sweep results across invocations under D
-//                  (harness::ResultStore); also enabled when the
-//                  HLOCK_CACHE_DIR environment variable is set (its value
-//                  names the directory; empty value = `.hlock-cache`)
-//   --no-disk-cache  ignore --cache-dir / HLOCK_CACHE_DIR
 //   --json         machine-readable output where the binary supports it
 //   --shards N     simulation shards (bench/many_locks)
 //   --lock-count N total locks across the forest (bench/many_locks)
@@ -53,8 +48,6 @@ struct CliOptions {
   int repeat = 1;
   bool json = false;
   bool memo = true;
-  /// Cross-invocation result cache directory; empty = disabled.
-  std::string cache_dir;
   // Many-lock workload flags (bench/many_locks; ignored elsewhere).
   std::size_t shards = 0;      ///< 0 = binary default
   std::uint32_t lock_count = 0;  ///< 0 = binary default

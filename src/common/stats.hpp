@@ -35,23 +35,13 @@ class Summary {
   [[nodiscard]] double percentile(double q) const;
   [[nodiscard]] double stddev() const;
 
-  // --- exact serialization (harness::ResultStore) ---
-  //
-  // mean()/stddev() derive from the running sums, and floating-point
-  // addition is order-dependent, so re-add()ing the (sealed, sorted)
-  // samples would NOT reproduce the sums accumulated in arrival order.
-  // Round-trip-exact persistence therefore captures and restores the
-  // full internal state instead of replaying samples.
+  /// The raw samples, in arrival order until seal() sorts them.
   [[nodiscard]] const std::vector<double>& samples() const {
     return samples_;
   }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double sum_sq() const { return sum_sq_; }
-  /// Rebuild a Summary from serialized state, bit-for-bit.
-  static Summary restore(std::vector<double> samples, bool sorted,
-                         double sum, double sum_sq);
 
-  /// Exact state equality (cache round-trip tests).
+  /// Exact state equality, running sums included: two runs of the same
+  /// deterministic point compare equal.
   bool operator==(const Summary&) const = default;
 
  private:

@@ -111,8 +111,8 @@ LockSet ConcurrencyService::lock_set(LockId id) {
   return LockSet(*this, id);
 }
 
-LockHandle ConcurrencyService::lock_blocking(LockId id, Mode mode,
-                                             std::uint8_t priority) {
+std::shared_ptr<ConcurrencyService::Waiter> ConcurrencyService::issue(
+    LockId id, Mode mode, std::uint8_t priority) {
   auto w = std::make_shared<Waiter>();
   node_.loop().post([this, id, mode, priority, w] {
     {
@@ -138,25 +138,33 @@ LockHandle ConcurrencyService::lock_blocking(LockId id, Mode mode,
           w->done = true;
           fulfilled = true;
         }
+        if (!fulfilled) w->request = rid;
       }
-      if (!fulfilled) {
-        w->request = rid;
-        waiters_[rid] = w;
-      }
+      if (!fulfilled) waiters_[rid] = w;
     }
     if (fulfilled) w->cv.notify_all();
   });
+  return w;
+}
 
-  std::unique_lock<std::mutex> lk(w->mutex);
-  w->cv.wait(lk, [&] { return w->done; });
-  if (w->error) std::rethrow_exception(w->error);
-  const LockHandle handle{id, w->request, w->mode};
+LockHandle ConcurrencyService::take(LockId id, Waiter& w) {
+  std::unique_lock<std::mutex> lk(w.mutex);
+  if (w.error) std::rethrow_exception(w.error);
+  const LockHandle handle{id, w.request, w.mode};
   lk.unlock();
-  {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    live_holds_.emplace(id, handle);
-  }
+  const std::lock_guard<std::mutex> guard(mutex_);
+  live_holds_.emplace(id, handle);
   return handle;
+}
+
+LockHandle ConcurrencyService::lock_blocking(LockId id, Mode mode,
+                                             std::uint8_t priority) {
+  const std::shared_ptr<Waiter> w = issue(id, mode, priority);
+  {
+    std::unique_lock<std::mutex> lk(w->mutex);
+    w->cv.wait(lk, [&] { return w->done; });
+  }
+  return take(id, *w);
 }
 
 std::optional<LockHandle> ConcurrencyService::try_lock_now(LockId id,
@@ -174,84 +182,38 @@ std::optional<LockHandle> ConcurrencyService::try_lock_now(LockId id,
 
 std::optional<LockHandle> ConcurrencyService::lock_with_deadline(
     LockId id, Mode mode, Duration timeout) {
-  auto w = std::make_shared<Waiter>();
-  node_.loop().post([this, id, mode, w] {
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      slot_ = w;
-    }
-    RequestId rid{};
-    std::exception_ptr error;
-    try {
-      rid = hls_.engine(id).request_lock(mode);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    bool fulfilled;
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      slot_.reset();
-      {
-        const std::lock_guard<std::mutex> wg(w->mutex);
-        fulfilled = w->done;
-        if (!fulfilled && error) {
-          w->error = error;
-          w->done = true;
-          fulfilled = true;
-        }
-        if (!fulfilled) w->request = rid;  // visible to the timeout path
-      }
-      if (!fulfilled) waiters_[rid] = w;
-    }
-    if (fulfilled) w->cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lk(w->mutex);
-  const bool granted = w->cv.wait_for(
-      lk, std::chrono::microseconds(timeout), [&] { return w->done; });
-  if (granted) {
-    if (w->error) std::rethrow_exception(w->error);
-    const LockHandle handle{id, w->request, w->mode};
-    lk.unlock();
-    const std::lock_guard<std::mutex> guard(mutex_);
-    live_holds_.emplace(id, handle);
-    return handle;
+  const std::shared_ptr<Waiter> w = issue(id, mode, 0);
+  bool granted;
+  {
+    std::unique_lock<std::mutex> lk(w->mutex);
+    granted = w->cv.wait_for(lk, std::chrono::microseconds(timeout),
+                             [&] { return w->done; });
   }
-  // Deadline expired: cancel on the loop thread. The grant may still race
-  // us there; cancel() tells us which way it went.
-  const RequestId rid = w->request;
-  lk.unlock();
-  auto outcome = std::make_shared<Waiter>();
-  node_.loop().post([this, id, rid, w, outcome] {
-    bool now_held = false;
-    try {
-      if (rid.valid()) now_held = !hls_.engine(id).cancel(rid);
-    } catch (...) {
-      outcome->error = std::current_exception();
+  if (granted) return take(id, *w);
+  // Deadline expired. Settle the outcome on the loop thread, where no
+  // grant can land while we look: the issuing task was posted first, so
+  // it has run by now (however late), and either the grant already fired
+  // and we own the hold after all, or the request is still pending and
+  // cancel() makes sure it is never granted to anyone.
+  run_on_loop([&] {
+    RequestId rid;
+    {
+      const std::lock_guard<std::mutex> wg(w->mutex);
+      if (w->done) return;
+      rid = w->request;
     }
     {
       const std::lock_guard<std::mutex> guard(mutex_);
       waiters_.erase(rid);
     }
-    {
-      const std::lock_guard<std::mutex> og(outcome->mutex);
-      outcome->done = true;
-      outcome->request = now_held ? rid : RequestId{};
-    }
-    outcome->cv.notify_all();
+    if (!hls_.engine(id).cancel(rid))
+      throw std::logic_error("granted request had no acquired callback");
   });
-  std::unique_lock<std::mutex> ol(outcome->mutex);
-  outcome->cv.wait(ol, [&] { return outcome->done; });
-  if (outcome->error) std::rethrow_exception(outcome->error);
-  if (!outcome->request.valid()) return std::nullopt;  // cleanly cancelled
-  // The grant won the race: we hold the lock after all.
-  std::unique_lock<std::mutex> lk2(w->mutex);
-  w->cv.wait(lk2, [&] { return w->done; });  // callback already fired
-  const LockHandle handle{id, w->request, w->mode};
-  lk2.unlock();
-  const std::lock_guard<std::mutex> guard(mutex_);
-  live_holds_.emplace(id, handle);
-  return handle;
+  {
+    const std::lock_guard<std::mutex> wg(w->mutex);
+    if (!w->done) return std::nullopt;  // cleanly cancelled
+  }
+  return take(id, *w);
 }
 
 void ConcurrencyService::unlock_blocking(const LockHandle& handle) {

@@ -143,6 +143,13 @@ class ConcurrencyService {
     std::exception_ptr error;
   };
 
+  /// Post a request_lock to the loop thread; the returned waiter is done
+  /// once it is granted (or failed).
+  std::shared_ptr<Waiter> issue(LockId id, Mode mode, std::uint8_t priority);
+  /// Handle of a done waiter, recorded as a live hold (error rethrown).
+  /// The caller must not hold w.mutex.
+  LockHandle take(LockId id, Waiter& w);
+
   LockHandle lock_blocking(LockId id, Mode mode, std::uint8_t priority = 0);
   std::optional<LockHandle> try_lock_now(LockId id, Mode mode);
   std::optional<LockHandle> lock_with_deadline(LockId id, Mode mode,

@@ -38,7 +38,7 @@ struct ClusterConfig {
   double loss_rate{0.0};
 
   /// Simulation shards for the many-lock harness (classic clusters are
-  /// single-slab and ignore it). Part of the cache key: sharding is
+  /// single-slab and ignore it). Part of the memo key: sharding is
   /// output-invariant by construction, but the key must cover every
   /// config field so a future violation cannot silently alias entries.
   std::size_t shards{1};

@@ -117,226 +117,4 @@ void write_json_array(std::ostream& os,
   os << "]\n";
 }
 
-// --- parsing ---------------------------------------------------------------
-
-namespace {
-
-/// Cursor over the input; every parse_* advances it past what it
-/// consumed or returns false leaving the document invalid.
-struct Parser {
-  const char* p;
-  const char* end;
-
-  void skip_ws() {
-    while (p != end &&
-           (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
-      ++p;
-  }
-  [[nodiscard]] bool eat(char c) {
-    if (p == end || *p != c) return false;
-    ++p;
-    return true;
-  }
-
-  bool parse_value(JsonValue& out, int depth);
-  bool parse_string(std::string& out);
-  bool parse_number(JsonValue& out);
-  bool parse_literal(const char* lit, std::size_t n);
-};
-
-bool Parser::parse_literal(const char* lit, std::size_t n) {
-  if (static_cast<std::size_t>(end - p) < n) return false;
-  for (std::size_t i = 0; i < n; ++i)
-    if (p[i] != lit[i]) return false;
-  p += n;
-  return true;
-}
-
-bool Parser::parse_string(std::string& out) {
-  if (!eat('"')) return false;
-  out.clear();
-  while (p != end) {
-    const char c = *p++;
-    if (c == '"') return true;
-    if (c == '\\') {
-      if (p == end) return false;
-      const char esc = *p++;
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          // Decode \uXXXX to UTF-8; surrogate pairs are not needed by
-          // anything we write, so a lone escape is enough.
-          if (end - p < 4) return false;
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = *p++;
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              cp |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return false;
-      }
-    } else {
-      out.push_back(c);
-    }
-  }
-  return false;  // unterminated
-}
-
-bool Parser::parse_number(JsonValue& out) {
-  const char* start = p;
-  if (p != end && *p == '-') ++p;
-  if (p == end || *p < '0' || *p > '9') return false;
-  while (p != end && *p >= '0' && *p <= '9') ++p;
-  if (p != end && *p == '.') {
-    ++p;
-    if (p == end || *p < '0' || *p > '9') return false;
-    while (p != end && *p >= '0' && *p <= '9') ++p;
-  }
-  if (p != end && (*p == 'e' || *p == 'E')) {
-    ++p;
-    if (p != end && (*p == '+' || *p == '-')) ++p;
-    if (p == end || *p < '0' || *p > '9') return false;
-    while (p != end && *p >= '0' && *p <= '9') ++p;
-  }
-  out.kind = JsonValue::Kind::kNumber;
-  out.text.assign(start, p);
-  return true;
-}
-
-bool Parser::parse_value(JsonValue& out, int depth) {
-  if (depth > 64) return false;  // hostile nesting
-  skip_ws();
-  if (p == end) return false;
-  switch (*p) {
-    case '{': {
-      ++p;
-      out.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (eat('}')) return true;
-      for (;;) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(key)) return false;
-        skip_ws();
-        if (!eat(':')) return false;
-        JsonValue member;
-        if (!parse_value(member, depth + 1)) return false;
-        out.members.emplace_back(std::move(key), std::move(member));
-        skip_ws();
-        if (eat(',')) continue;
-        return eat('}');
-      }
-    }
-    case '[': {
-      ++p;
-      out.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (eat(']')) return true;
-      for (;;) {
-        JsonValue element;
-        if (!parse_value(element, depth + 1)) return false;
-        out.elements.push_back(std::move(element));
-        skip_ws();
-        if (eat(',')) continue;
-        return eat(']');
-      }
-    }
-    case '"':
-      out.kind = JsonValue::Kind::kString;
-      return parse_string(out.text);
-    case 't':
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return parse_literal("true", 4);
-    case 'f':
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return parse_literal("false", 5);
-    case 'n':
-      out.kind = JsonValue::Kind::kNull;
-      return parse_literal("null", 4);
-    default:
-      return parse_number(out);
-  }
-}
-
-}  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members)
-    if (name == key) return &value;
-  return nullptr;
-}
-
-std::optional<std::uint64_t> JsonValue::as_u64() const {
-  if (kind != Kind::kNumber) return std::nullopt;
-  std::uint64_t v = 0;
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return v;
-}
-
-std::optional<std::int64_t> JsonValue::as_i64() const {
-  if (kind != Kind::kNumber) return std::nullopt;
-  std::int64_t v = 0;
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return v;
-}
-
-std::optional<double> JsonValue::as_double() const {
-  if (kind != Kind::kNumber) return std::nullopt;
-  double v = 0;
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return v;
-}
-
-std::optional<bool> JsonValue::as_bool() const {
-  if (kind != Kind::kBool) return std::nullopt;
-  return boolean;
-}
-
-std::optional<JsonValue> parse_json(std::string_view json) {
-  Parser parser{json.data(), json.data() + json.size()};
-  JsonValue value;
-  if (!parser.parse_value(value, 0)) return std::nullopt;
-  parser.skip_ws();
-  if (parser.p != parser.end) return std::nullopt;  // trailing garbage
-  return value;
-}
-
 }  // namespace hlock::harness

@@ -1,14 +1,11 @@
-// Minimal JSON emission and parsing for experiment results (no external
-// deps) — the machine-readable counterpart of the ASCII tables, for
-// plotting pipelines and the on-disk result cache.
+// Minimal JSON emission for experiment results (no external deps) — the
+// machine-readable counterpart of the ASCII tables, for plotting
+// pipelines.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "harness/metrics.hpp"
@@ -55,40 +52,5 @@ std::string to_json(const TimingSample& sample);
 /// Write an array of timing samples (one per swept point).
 void write_json_array(std::ostream& os,
                       const std::vector<TimingSample>& samples);
-
-// --- parsing -------------------------------------------------------------
-//
-// A small recursive-descent JSON reader, just enough to read back what
-// the writers above (and harness::ResultStore) emit. Numbers keep their
-// raw source text so integer fields round-trip at full std::uint64_t
-// width — going through a double would corrupt counters above 2^53.
-
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-
-  Kind kind{Kind::kNull};
-  bool boolean{false};
-  /// Raw number token for kNumber (e.g. "1.5e-3"), decoded text for
-  /// kString.
-  std::string text;
-  /// Insertion-ordered members for kObject.
-  std::vector<std::pair<std::string, JsonValue>> members;
-  std::vector<JsonValue> elements;  ///< kArray
-
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(std::string_view key) const;
-
-  /// Typed accessors: nullopt unless the value is a number that parses
-  /// exactly (whole token, in range) as the requested type.
-  [[nodiscard]] std::optional<std::uint64_t> as_u64() const;
-  [[nodiscard]] std::optional<std::int64_t> as_i64() const;
-  [[nodiscard]] std::optional<double> as_double() const;
-  [[nodiscard]] std::optional<bool> as_bool() const;
-};
-
-/// Parse one JSON document; nullopt on any syntax error or trailing
-/// garbage. Tolerates surrounding whitespace.
-std::optional<JsonValue> parse_json(std::string_view json);
 
 }  // namespace hlock::harness

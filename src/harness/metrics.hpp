@@ -60,9 +60,9 @@ struct ExperimentResult {
                      static_cast<double>(lock_requests);
   }
 
-  /// Exact field-wise equality, down to Summary internal state — the
-  /// ResultStore round-trip contract (cache-hit rerun byte-identical to
-  /// a cold run) is tested through this.
+  /// Exact field-wise equality, down to Summary internal state. Runs are
+  /// deterministic, so a memo hit, a rerun or a run on another sweep
+  /// thread must compare equal to the first run of the same point.
   bool operator==(const ExperimentResult&) const = default;
 };
 

@@ -4,8 +4,6 @@
 #include <exception>
 #include <thread>
 
-#include "harness/result_store.hpp"
-
 namespace hlock::harness {
 
 namespace {
@@ -67,31 +65,9 @@ SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
                                   : std::thread::hardware_concurrency();
   if (threads_ == 0) threads_ = 1;
   if (options_.repeat < 1) options_.repeat = 1;
-  // The disk cache rides the memoized() path, so it is only meaningful
-  // when that path runs (memo on, no timing repeats).
-  if (!options_.cache_dir.empty() && options_.memoize &&
-      options_.repeat == 1) {
-    store_ = options_.cache_build_hash.empty()
-                 ? std::make_unique<ResultStore>(options_.cache_dir)
-                 : std::make_unique<ResultStore>(options_.cache_dir,
-                                                 options_.cache_build_hash);
-  }
-}
-
-SweepRunner::~SweepRunner() = default;
-
-std::size_t SweepRunner::disk_hits() const {
-  return store_ ? store_->hits() : 0;
-}
-std::size_t SweepRunner::disk_misses() const {
-  return store_ ? store_->misses() : 0;
-}
-std::size_t SweepRunner::disk_stored() const {
-  return store_ ? store_->stored() : 0;
 }
 
 ExperimentResult SweepRunner::evaluate(const SweepPoint& point) const {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
   ExperimentResult result;
   for (int i = 0; i < options_.repeat; ++i)
     result = run_experiment(point.protocol, point.config);
@@ -115,16 +91,7 @@ ExperimentResult SweepRunner::memoized(const SweepPoint& point) {
     memo_.emplace(point, promise.get_future().share());
   }
   try {
-    // Consult the cross-invocation store before paying for a simulation;
-    // write through after computing so the next invocation hits.
-    if (store_) {
-      if (std::optional<ExperimentResult> cached = store_->get(point)) {
-        promise.set_value(*cached);
-        return *std::move(cached);
-      }
-    }
     ExperimentResult result = evaluate(point);
-    if (store_) store_->put(point, result);
     promise.set_value(result);
     return result;
   } catch (...) {

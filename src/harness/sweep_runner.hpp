@@ -17,13 +17,10 @@
 // shared future instead of computing twice.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,8 +29,6 @@
 #include "harness/metrics.hpp"
 
 namespace hlock::harness {
-
-class ResultStore;
 
 /// One independent simulation run: a protocol plus the full cluster
 /// configuration (nodes, workload spec, engine options, latency model,
@@ -60,21 +55,11 @@ struct SweepOptions {
   /// timing). repeat > 1 disables the memo cache — a cache hit would
   /// defeat the purpose of re-running.
   int repeat = 1;
-  /// Non-empty: persist results across invocations in a ResultStore
-  /// under this directory (see result_store.hpp). Consulted on memo
-  /// misses and written through after each computed point; inactive when
-  /// memoization is off or repeat > 1 (same reasoning as the memo
-  /// cache).
-  std::string cache_dir;
-  /// Override the build hash the store is keyed by; empty = the
-  /// compiled-in stamp. Tests use this to prove stale-build invalidation.
-  std::string cache_build_hash;
 };
 
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
-  ~SweepRunner();
 
   /// Evaluate all points and return their results in submission order,
   /// regardless of the order the pool finishes them in.
@@ -91,18 +76,6 @@ class SweepRunner {
   [[nodiscard]] std::size_t threads() const { return threads_; }
   [[nodiscard]] std::size_t memo_hits() const { return memo_hits_; }
   [[nodiscard]] std::size_t memo_misses() const { return memo_misses_; }
-
-  /// Simulations actually executed (one per repeat). A fully warm disk
-  /// cache leaves this at 0 — the acceptance proof that a cache-hit
-  /// rerun performs zero simulations.
-  [[nodiscard]] std::size_t evaluations() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
-  /// Disk-cache telemetry; all 0 when no cache_dir was configured.
-  [[nodiscard]] std::size_t disk_hits() const;
-  [[nodiscard]] std::size_t disk_misses() const;
-  [[nodiscard]] std::size_t disk_stored() const;
-  [[nodiscard]] bool disk_cache_enabled() const { return store_ != nullptr; }
 
  private:
   [[nodiscard]] ExperimentResult evaluate(const SweepPoint& point) const;
@@ -124,11 +97,6 @@ class SweepRunner {
       memo_;
   std::size_t memo_hits_{0};
   std::size_t memo_misses_{0};
-
-  /// Cross-invocation disk cache; null unless options.cache_dir is set
-  /// (and memoize/repeat allow caching at all).
-  std::unique_ptr<ResultStore> store_;
-  mutable std::atomic<std::size_t> evaluations_{0};
 };
 
 }  // namespace hlock::harness

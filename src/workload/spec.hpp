@@ -36,7 +36,7 @@ struct WorkloadSpec {
 
   /// Many-lock forest workloads only: total locks across the whole forest
   /// (0 = classic single-table layout) and the Zipf skew of page
-  /// selection (0 = uniform). Both are part of the cache key.
+  /// selection (0 = uniform). Both are part of the memo key.
   std::uint32_t lock_count = 0;
   double zipf_theta = 0.0;
 

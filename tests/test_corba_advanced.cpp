@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -83,6 +85,53 @@ TEST(TryLockFor, LateGrantAfterTimeoutIsNotLeaked) {
   EXPECT_EQ(granted + timed_out, 50);
   const LockHandle final_w = a.lock(LockMode::kWrite);
   a.unlock(final_w);
+}
+
+TEST(TryLockFor, OutcomeDecidedAfterDeadlineIsNotLeaked) {
+  // A posted blocker stalls the requesting node's event loop well past a
+  // 5 ms deadline, so the acquisition is issued only after try_lock_for
+  // has already timed out, on every run. Whatever comes back, nothing may
+  // stay held: the requester, whose next W would queue behind a leaked
+  // hold, and then the other node must each get W.
+  struct Case {
+    const char* name;
+    std::size_t requester;
+    bool contended;  ///< the other node holds R during the attempt
+  };
+  for (const Case c : {
+           // Node 0 holds the token: granted inside request_lock().
+           Case{"synchronous grant", 0, false},
+           // Node 1 asks node 0 for the token.
+           Case{"remote request", 1, false},
+           // Node 1's W queues behind node 0's R.
+           Case{"queued behind R", 1, true},
+       }) {
+    SCOPED_TRACE(c.name);
+    Fixture f(2);
+    LockSet mine = f.services[c.requester]->lock_set(kLock);
+    LockSet other = f.services[1 - c.requester]->lock_set(kLock);
+    std::optional<LockHandle> hr;
+    if (c.contended) hr = other.lock(LockMode::kRead);
+
+    auto started = std::make_shared<std::promise<void>>();
+    f.cluster.node(c.requester).loop().post([started] {
+      started->set_value();
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    });
+    started->get_future().wait();
+    const auto h = mine.try_lock_for(LockMode::kWrite, msec(5));
+    if (c.contended) {
+      EXPECT_FALSE(h.has_value());
+    }
+    if (h) mine.unlock(*h);
+    if (hr) other.unlock(*hr);
+
+    for (LockSet* set : {&mine, &other}) {
+      const auto hw = set->try_lock_for(LockMode::kWrite, msec(5000));
+      ASSERT_TRUE(hw.has_value()) << "a lock nobody owns is still held";
+      set->unlock(*hw);
+    }
+  }
 }
 
 TEST(ScopedLock, ReleasesOnScopeExit) {

@@ -115,27 +115,83 @@ TEST(SweepRunner, MemoCacheHitsDuplicatePoints) {
 }
 
 TEST(SweepRunner, MemoDistinguishesEveryKeyComponent) {
-  const workload::WorkloadSpec spec = small_spec();
-  workload::WorkloadSpec other_seed = spec;
-  other_seed.seed = 7;
-  core::EngineOptions no_freeze;
-  no_freeze.enable_freezing = false;
+  // The memo key is the whole SweepPoint: a change to any one field of the
+  // protocol, ClusterConfig, WorkloadSpec or EngineOptions is a different
+  // point and must be simulated, never served another point's result.
+  const SweepPoint base = make_point(Protocol::kHls, 10, small_spec());
+  const auto vary = [&](auto&& edit) {
+    SweepPoint v = base;
+    edit(v);
+    return v;
+  };
+  const std::vector<SweepPoint> variants{
+      vary([](SweepPoint& v) { v.protocol = Protocol::kNaimiPure; }),
+      vary([](SweepPoint& v) { v.config.nodes = 20; }),
+      vary([](SweepPoint& v) { v.config.latency = LatencyKind::kConstant; }),
+      vary([](SweepPoint& v) { v.config.loss_rate = 0.01; }),
+      vary([](SweepPoint& v) { v.config.spec.seed = 7; }),
+      vary([](SweepPoint& v) { v.config.spec.cs_mean = msec(20); }),
+      vary([](SweepPoint& v) { v.config.spec.idle_mean = msec(100); }),
+      vary([](SweepPoint& v) { v.config.spec.net_latency_mean = msec(100); }),
+      vary([](SweepPoint& v) {
+        v.config.spec.p_entry_read = 0.79;
+        v.config.spec.p_table_read = 0.11;
+      }),
+      vary([](SweepPoint& v) {
+        v.config.spec.p_upgrade = 0.03;
+        v.config.spec.p_entry_write = 0.06;
+      }),
+      vary([](SweepPoint& v) {
+        v.config.spec.p_entry_write = 0.04;
+        v.config.spec.p_table_write = 0.02;
+      }),
+      vary([](SweepPoint& v) { v.config.spec.entries_per_node = 2; }),
+      vary([](SweepPoint& v) { v.config.spec.home_bias = 0.25; }),
+      vary([](SweepPoint& v) { v.config.spec.ops_per_node = 21; }),
+      vary([](SweepPoint& v) {
+        v.config.engine_opts.allow_child_grants = false;
+      }),
+      vary([](SweepPoint& v) {
+        v.config.engine_opts.allow_local_queues = false;
+      }),
+      vary([](SweepPoint& v) { v.config.engine_opts.enable_freezing = false; }),
+      vary([](SweepPoint& v) { v.config.engine_opts.lazy_release = false; }),
+      vary([](SweepPoint& v) {
+        v.config.engine_opts.enable_priorities = true;
+      }),
+      vary([](SweepPoint& v) { v.config.engine_opts.locality_bias = true; }),
+      vary([](SweepPoint& v) {
+        v.config.engine_opts.locality_fairness_cap = 9;
+      }),
+      vary([](SweepPoint& v) { v.config.shards = 4; }),
+      vary([](SweepPoint& v) { v.config.clusters = 4; }),
+      vary([](SweepPoint& v) {
+        v.config.placement = ClusterPlacement::kStripe;
+      }),
+      vary([](SweepPoint& v) { v.config.intra_latency_mean = usec(100); }),
+      vary([](SweepPoint& v) { v.config.inter_latency_mean = msec(100); }),
+      vary([](SweepPoint& v) { v.config.spec.lock_count = 50'000; }),
+      vary([](SweepPoint& v) { v.config.spec.zipf_theta = 0.9; }),
+  };
+  for (std::size_t i = 0; i < variants.size(); ++i)
+    EXPECT_FALSE(variants[i] == base) << "variant " << i;
 
+  // Every variant is a small classic-cluster run, so all of them go
+  // through the runner: each must be a miss, and only the repeated base
+  // a hit.
+  std::vector<SweepPoint> points{base};
+  points.insert(points.end(), variants.begin(), variants.end());
+  points.push_back(base);
   SweepOptions opts;
   opts.threads = 2;
   SweepRunner runner(opts);
-  const auto results = runner.run({
-      make_point(Protocol::kHls, 10, spec),
-      make_point(Protocol::kNaimiPure, 10, spec),   // protocol differs
-      make_point(Protocol::kHls, 20, spec),         // nodes differ
-      make_point(Protocol::kHls, 10, other_seed),   // spec differs
-      make_point(Protocol::kHls, 10, spec, no_freeze),  // opts differ
-  });
-  EXPECT_EQ(runner.memo_misses(), 5u);
-  EXPECT_EQ(runner.memo_hits(), 0u);
+  const auto results = runner.run(points);
+  EXPECT_EQ(runner.memo_misses(), variants.size() + 1);
+  EXPECT_EQ(runner.memo_hits(), 1u);
+  EXPECT_TRUE(results.front() == results.back());
   // Sanity: the distinct configurations really produced distinct runs.
   EXPECT_NE(results[0].messages, results[2].messages);
-  EXPECT_NE(results[0].messages, results[3].messages);
+  EXPECT_NE(results[0].messages, results[5].messages);
 }
 
 TEST(SweepRunner, MemoCanBeDisabled) {

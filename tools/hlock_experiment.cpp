@@ -17,9 +17,6 @@
 //   --priorities       enable priority arbitration
 //   --sweep            run the standard node-count sweep instead of one n
 //   --threads N        sweep worker threads (0 = hardware concurrency)
-//   --cache-dir D      persist results across invocations (ResultStore);
-//                      HLOCK_CACHE_DIR=D works too (empty = .hlock-cache)
-//   --no-disk-cache    ignore --cache-dir / HLOCK_CACHE_DIR
 //   --json             emit JSON instead of the ASCII table
 //
 // Numeric values are validated strictly; `--nodes abc` is a usage error
@@ -50,8 +47,6 @@ struct Options {
   bool sweep = false;
   bool json = false;
   std::size_t threads = 0;
-  std::string cache_dir;
-  bool disk_cache = true;
 };
 
 [[noreturn]] void usage_error(const std::string& what) {
@@ -155,22 +150,12 @@ Options parse(int argc, char** argv) {
       opt.sweep = true;
     } else if (arg == "--threads") {
       opt.threads = parse_size(arg, value());
-    } else if (arg == "--cache-dir") {
-      opt.cache_dir = value();
-      if (opt.cache_dir.empty()) usage_error("--cache-dir expects a directory");
-    } else if (arg == "--no-disk-cache") {
-      opt.disk_cache = false;
     } else if (arg == "--json") {
       opt.json = true;
     } else {
       usage_error("unknown argument " + arg);
     }
   }
-  if (opt.cache_dir.empty()) {
-    if (const char* env = std::getenv("HLOCK_CACHE_DIR"))
-      opt.cache_dir = *env != '\0' ? env : ".hlock-cache";
-  }
-  if (!opt.disk_cache) opt.cache_dir.clear();
   opt.spec.validate();
   return opt;
 }
@@ -199,7 +184,6 @@ int main(int argc, char** argv) {
   }
   SweepOptions sweep_opts;
   sweep_opts.threads = opt.threads;
-  sweep_opts.cache_dir = opt.cache_dir;
   SweepRunner runner(sweep_opts);
   const std::vector<ExperimentResult> results = runner.run(points);
 
