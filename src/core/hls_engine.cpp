@@ -1,6 +1,7 @@
 #include "core/hls_engine.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -118,6 +119,47 @@ void HlsEngine::set_hold(RequestId id, Mode mode) {
 void HlsEngine::erase_hold(FlatMap<RequestId, Mode>::iterator it) {
   --hold_mode_count_[static_cast<int>(it->second)];
   holds_.erase(it);
+}
+
+void HlsEngine::erase_queued(std::size_t i) {
+  --queue_mode_count_[static_cast<int>(queue_[i].mode)];
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void HlsEngine::clear_queue() {
+  queue_.clear();
+  queue_mode_count_.fill(0);
+}
+
+void HlsEngine::adopt_shipped_queue(const std::vector<QueuedRequest>& shipped,
+                                    bool drop_self) {
+  // One stable sort over contiguous scratch storage: upgrades first (Rule 7
+  // precedence survives transfers), then FIFO by Lamport stamp (footnote c
+  // of Figure 4) or priority order. Stability keeps ties in shipped-then-
+  // local order. The scratch vector is per thread and keeps its capacity;
+  // nothing below re-enters this function.
+  thread_local std::vector<QueuedRequest> merged;
+  merged.clear();
+  const auto keep = [&](const QueuedRequest& r) {
+    return !(drop_self && r.requester == self_);
+  };
+  std::copy_if(shipped.begin(), shipped.end(), std::back_inserter(merged),
+               keep);
+  std::copy_if(queue_.begin(), queue_.end(), std::back_inserter(merged), keep);
+  std::stable_sort(merged.begin(), merged.end(),
+                   [this](const QueuedRequest& a, const QueuedRequest& b) {
+                     if (a.upgrade != b.upgrade) return a.upgrade;
+                     if (opts_.enable_priorities) return priority_before(a, b);
+                     return a.stamp < b.stamp;
+                   });
+  queue_.assign(merged.begin(), merged.end());
+  recount_queue_modes();
+}
+
+void HlsEngine::recount_queue_modes() {
+  queue_mode_count_.fill(0);
+  for (const QueuedRequest& q : queue_)
+    ++queue_mode_count_[static_cast<int>(q.mode)];
 }
 
 RequestId HlsEngine::fresh_request_id() {
@@ -423,7 +465,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
     h.kind = MsgKind::kHandoff;
     h.queue = transport_.acquire_queue_buffer();
     h.queue.assign(queue_.begin(), queue_.end());
-    queue_.clear();
+    clear_queue();
     h.grant_seq = locality_streak_;  // see transfer_token
     locality_streak_ = 0;
     has_token_ = false;
@@ -437,7 +479,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
       fwd.req = q;
       send(parent_, fwd);
     }
-    queue_.clear();
+    clear_queue();
     if (owned_something) {
       // Deregister ourselves: our contribution to the parent's copyset is
       // gone (no holds; the children now attach directly to it). An idle
@@ -469,7 +511,7 @@ void HlsEngine::begin_recovery(std::uint32_t new_view, NodeId new_root,
   // backlog) survives.
   clear_children();
   sent_frozen_.clear();
-  queue_.clear();
+  clear_queue();
   frozen_.clear();
   grants_sent_.clear();
   grants_received_.clear();
@@ -592,17 +634,7 @@ void HlsEngine::handle_handoff(const Message& m) {
   locality_streak_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(m.grant_seq, 0xffffffffULL));
 
-  std::deque<QueuedRequest> merged;
-  merged.insert(merged.end(), m.queue.begin(), m.queue.end());
-  merged.insert(merged.end(), queue_.begin(), queue_.end());
-  std::stable_sort(merged.begin(), merged.end(),
-                   [this](const QueuedRequest& a, const QueuedRequest& b) {
-                     if (opts_.enable_priorities) return priority_before(a, b);
-                     return a.stamp < b.stamp;
-                   });
-  std::stable_partition(merged.begin(), merged.end(),
-                        [](const QueuedRequest& r) { return r.upgrade; });
-  queue_ = std::move(merged);
+  adopt_shipped_queue(m.queue, /*drop_self=*/false);
 
   check_queue_token();
   if (has_token_) {
@@ -733,6 +765,7 @@ void HlsEngine::enqueue(const QueuedRequest& q) {
     }
   }
   queue_.insert(it, q);
+  ++queue_mode_count_[static_cast<int>(q.mode)];
 }
 
 void HlsEngine::grant_copy(const QueuedRequest& q) {
@@ -759,7 +792,7 @@ void HlsEngine::transfer_token(const QueuedRequest& q) {
   t.sender_owned = remaining;
   t.queue = transport_.acquire_queue_buffer();
   t.queue.assign(queue_.begin(), queue_.end());
-  queue_.clear();
+  clear_queue();
   // The head-bypass streak travels with the token (grant_seq is unused by
   // kToken otherwise), so the locality fairness cap binds globally across
   // same-cluster hand-offs. Always 0 when the bias is off — bitwise
@@ -813,26 +846,9 @@ void HlsEngine::handle_token(const Message& m) {
     set_child(m.from, m.sender_owned);
   }
 
-  // Merge the shipped queue with anything we queued while non-token,
-  // preserving global FIFO by Lamport stamp (footnote c of Figure 4).
-  std::deque<QueuedRequest> merged;
-  merged.insert(merged.end(), m.queue.begin(), m.queue.end());
-  merged.insert(merged.end(), queue_.begin(), queue_.end());
-  std::stable_sort(merged.begin(), merged.end(),
-                   [this](const QueuedRequest& a, const QueuedRequest& b) {
-                     if (opts_.enable_priorities) return priority_before(a, b);
-                     return a.stamp < b.stamp;
-                   });
-  // Upgrades keep their Rule 7 priority across transfers.
-  std::stable_partition(merged.begin(), merged.end(),
-                        [](const QueuedRequest& r) { return r.upgrade; });
-  // Our own in-flight request is the one the token answers; drop any echo.
-  merged.erase(std::remove_if(merged.begin(), merged.end(),
-                              [&](const QueuedRequest& r) {
-                                return r.requester == self_;
-                              }),
-               merged.end());
-  queue_ = std::move(merged);
+  // Merge the shipped queue with anything we queued while non-token. Our
+  // own in-flight request is the one the token answers; drop any echo.
+  adopt_shipped_queue(m.queue, /*drop_self=*/true);
 
   if (pending_->upgrade) {
     const Mode rest = owned_mode_excluding_hold(pending_->id);
@@ -974,7 +990,7 @@ void HlsEngine::check_queue_token() {
     const std::size_t pick = pick_queue_index();
     if (pick != 0) {
       const QueuedRequest q = queue_[pick];
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+      erase_queued(pick);
       ++locality_streak_;
       if (q.requester == self_) {
         resolve_pending_with_grant(q.mode);
@@ -994,21 +1010,21 @@ void HlsEngine::check_queue_token() {
     if (q.requester == self_) {
       if (q.upgrade) {
         if (!pending_ || !upgrading_hold_) {
-          queue_.pop_front();  // stale entry
+          erase_queued(0);  // stale entry
           continue;
         }
         if (owned_mode_excluding_hold(pending_->id) != kNone) break;
-        queue_.pop_front();
+        erase_queued(0);
         locality_streak_ = 0;
         resolve_pending_with_grant(Mode::kW);
         continue;
       }
       if (!pending_) {
-        queue_.pop_front();  // stale entry
+        erase_queued(0);  // stale entry
         continue;
       }
       if (!compatible(mo, q.mode)) break;
-      queue_.pop_front();
+      erase_queued(0);
       locality_streak_ = 0;
       resolve_pending_with_grant(q.mode);
       continue;
@@ -1016,19 +1032,19 @@ void HlsEngine::check_queue_token() {
 
     if (q.upgrade) {
       if (owned_mode_excluding_child(q.requester) != kNone) break;
-      queue_.pop_front();
+      erase_queued(0);
       locality_streak_ = 0;
       transfer_token(q);
       return;  // no longer the token node
     }
     if (tokenable(mo, q.mode)) {
-      queue_.pop_front();
+      erase_queued(0);
       locality_streak_ = 0;
       transfer_token(q);
       return;  // no longer the token node
     }
     if (token_copy_grantable(mo, q.mode)) {
-      queue_.pop_front();
+      erase_queued(0);
       locality_streak_ = 0;
       grant_copy(q);
       continue;
@@ -1040,11 +1056,11 @@ void HlsEngine::check_queue_token() {
 void HlsEngine::check_queue_nontoken() {
   if (queue_.empty()) return;
   // Re-triage every queued request: grant what Rule 3.1 now allows, keep
-  // what Table 2(a) still queues, forward the rest toward the root.
-  std::deque<QueuedRequest> keep;
-  while (!queue_.empty()) {
-    const QueuedRequest q = queue_.front();
-    queue_.pop_front();
+  // what Table 2(a) still queues, forward the rest toward the root. Kept
+  // entries are compacted to the front in place.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const QueuedRequest q = queue_[i];
     const Mode mo = owned_mode();
     const bool frozen_blocks =
         opts_.enable_freezing && frozen_.contains(q.mode);
@@ -1055,7 +1071,7 @@ void HlsEngine::check_queue_nontoken() {
     }
     if (opts_.allow_local_queues && !q.upgrade &&
         queue_or_forward(pending_mode(), q.mode) == PendingAction::kQueue) {
-      keep.push_back(q);
+      queue_[kept++] = q;
       continue;
     }
     Message fwd;
@@ -1063,7 +1079,9 @@ void HlsEngine::check_queue_nontoken() {
     fwd.req = q;
     send(parent_, fwd);
   }
-  queue_ = std::move(keep);
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+               queue_.end());
+  recount_queue_modes();
 }
 
 void HlsEngine::detach_from_old_parent(NodeId new_parent) {
@@ -1111,9 +1129,13 @@ void HlsEngine::propagate_release_if_needed(Mode owned_before) {
 void HlsEngine::recompute_frozen_token() {
   if (!opts_.enable_freezing) return;
   if (!has_token_) return;
+  // The frozen set depends only on which modes are queued, so fold over
+  // the per-mode counts instead of the (possibly long) queue itself.
   ModeSet fresh;
   const Mode mo = owned_mode();
-  for (const QueuedRequest& q : queue_) fresh |= frozen_for(mo, q.mode);
+  for (const Mode m : kRealModes) {
+    if (queue_mode_count_[static_cast<int>(m)] != 0) fresh |= frozen_for(mo, m);
+  }
   if (!(fresh == frozen_)) {
     frozen_ = fresh;
     freeze_sync_needed_ = true;

@@ -252,12 +252,21 @@ class HlsEngine {
   [[nodiscard]] Mode owned_mode_excluding_hold(RequestId id) const;
 
   // -- aggregate-maintaining mutators (the ONLY places children_ / holds_
-  // may be modified, so the count arrays never drift) --
+  // may be modified, so the count arrays never drift; queue_ changes only
+  // here, in enqueue() and in check_queue_nontoken()) --
   void set_child(NodeId child, Mode mode);
   void erase_child(NodeId child);
   void clear_children();
   void set_hold(RequestId id, Mode mode);
   void erase_hold(FlatMap<RequestId, Mode>::iterator it);
+  void erase_queued(std::size_t i);
+  void clear_queue();
+  /// Token receipt: replace queue_ with `shipped` merged with our local
+  /// entries in service order, minus our own entries when `drop_self`.
+  void adopt_shipped_queue(const std::vector<QueuedRequest>& shipped,
+                           bool drop_self);
+  /// Rebuild queue_mode_count_ after a whole-queue rewrite.
+  void recount_queue_modes();
   /// Strongest mode with a nonzero count, starting the fold at `base`.
   [[nodiscard]] static Mode strongest_counted(
       const std::array<std::uint32_t, kModeCount>& counts, Mode base,
@@ -349,6 +358,10 @@ class HlsEngine {
   std::optional<PendingLocal> pending_;
   std::deque<PendingLocal> backlog_;
   std::deque<QueuedRequest> queue_;
+  /// How many queue_ entries request each mode: the token's frozen set
+  /// (Rule 6) depends only on which modes are queued, so recomputing it
+  /// costs O(modes) however long the queue grows.
+  std::array<std::uint32_t, kModeCount> queue_mode_count_{};
   ModeSet frozen_;
   /// Last frozen set pushed to each child, to send deltas only.
   FlatMap<NodeId, ModeSet> sent_frozen_;

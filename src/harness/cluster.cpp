@@ -125,7 +125,7 @@ void ClusterBase::run_one_op(std::size_t i) {
     const double factor = static_cast<double>(stats.acquire_latency) /
                           static_cast<double>(norm);
     latency_factor_.add(factor);
-    latency_by_kind_[lockmgr::to_string(stats.op.kind)].add(factor);
+    latency_by_kind_[static_cast<std::size_t>(stats.op.kind)].add(factor);
     if (on_op_done) on_op_done(NodeId{static_cast<std::uint32_t>(i)}, stats);
     kick_node(i);
   });
@@ -145,7 +145,12 @@ ExperimentResult ClusterBase::result() const {
   r.cross_cluster_bytes = net_->cross_cluster_bytes();
   r.messages_by_kind = net_->message_counts();
   r.latency_factor = latency_factor_;
-  r.latency_by_kind = latency_by_kind_;
+  for (std::size_t k = 0; k < latency_by_kind_.size(); ++k) {
+    if (latency_by_kind_[k].count() == 0) continue;  // kind never ran
+    r.latency_by_kind.emplace(
+        lockmgr::to_string(static_cast<lockmgr::OpKind>(k)),
+        latency_by_kind_[k]);
+  }
   // Seal at collection end: results may be shared read-only across sweep
   // workers (memo cache), so no accessor may sort lazily afterwards.
   r.latency_factor.seal();
@@ -166,13 +171,11 @@ HlsCluster::HlsCluster(const ClusterConfig& config)
     auto node = std::make_unique<core::HlsNode>(id, transport_for(i),
                                                 config.engine_opts);
     node->set_cluster_map(cluster_map_.get());
-    // Table lock rooted at node 0; each entry lock at its home node, the
-    // airline that owns the row.
-    node->add_lock(layout_.table_lock(), NodeId{0});
-    for (std::uint32_t e = 0; e < layout_.entry_count(); ++e) {
-      node->add_lock(layout_.entry_lock(e),
-                     NodeId{e / config.spec.entries_per_node});
-    }
+    // Engines materialize on first touch (a request or an incoming
+    // message); most (node, lock) pairs are never touched, and an
+    // untouched engine would only sit in its initial state.
+    node->set_lazy_holder([this](LockId lock) { return initial_holder(lock); });
+    node->reserve_dense(layout_.lock_count());
     register_inbound(i,
                      [n = node.get()](const Message& m) { n->handle(m); });
     nodes_.push_back(std::move(node));
@@ -181,6 +184,15 @@ HlsCluster::HlsCluster(const ClusterConfig& config)
     sessions_.push_back(
         std::make_unique<lockmgr::HierSession>(*nodes_[i], layout_, exec_));
   }
+}
+
+NodeId HlsCluster::initial_holder(LockId lock) const {
+  // Table lock rooted at node 0; each entry lock at its home node, the
+  // airline that owns the row.
+  if (lock == layout_.table_lock()) return NodeId{0};
+  if (lock.value > layout_.entry_count())
+    throw std::out_of_range("lock id outside the resource layout");
+  return NodeId{(lock.value - 1) / config_.spec.entries_per_node};
 }
 
 NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)

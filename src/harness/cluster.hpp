@@ -5,6 +5,7 @@
 // paper's evaluation: build -> run() -> result().
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -115,7 +116,8 @@ class ClusterBase {
   std::uint64_t completed_{0};
   std::uint64_t lock_requests_{0};
   Summary latency_factor_;
-  std::map<std::string, Summary> latency_by_kind_;
+  /// Indexed by lockmgr::OpKind; result() names the kinds that ran.
+  std::array<Summary, lockmgr::kOpKindCount> latency_by_kind_;
 };
 }  // namespace detail
 
@@ -131,6 +133,11 @@ class HlsCluster final : public detail::ClusterBase {
   [[nodiscard]] const lockmgr::ResourceLayout& layout() const {
     return layout_;
   }
+  /// Where `lock`'s token starts: the table at node 0, each entry lock at
+  /// the node that owns its row. Every node's engines are built lazily
+  /// from this one mapping, so a (node, lock) engine exists only once it
+  /// was touched (HlsNode::lock_count() counts those).
+  [[nodiscard]] NodeId initial_holder(LockId lock) const;
 
  private:
   std::vector<std::unique_ptr<core::HlsNode>> nodes_;

@@ -1,5 +1,6 @@
 #include "harness/invariants.hpp"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -8,13 +9,35 @@ namespace hlock::harness {
 
 namespace {
 
-std::string check_lock(HlsCluster& cluster, LockId lock) {
+// Engines are read through HlsNode::find(), which never builds one. A
+// missing engine is one nothing has touched, so it is in its initial
+// state: idle, owning nothing, with an empty copyset and queue, and the
+// token node only at the lock's initial holder. Reading it that way checks
+// exactly what HlsNode::engine() would have built, and a probed run keeps
+// the same set of engines as an unprobed one.
+
+bool is_token_node(const HlsCluster& cluster, std::size_t i, LockId lock) {
+  const core::HlsEngine* engine = cluster.node(i).find(lock);
+  if (engine != nullptr) return engine->is_token_node();
+  return cluster.initial_holder(lock).value == i;
+}
+
+/// The mode `parent` records for `child` in its copyset, if any.
+std::optional<Mode> recorded_child_mode(const core::HlsEngine* parent,
+                                        NodeId child) {
+  if (parent == nullptr) return std::nullopt;
+  const auto it = parent->children().find(child);
+  if (it == parent->children().end()) return std::nullopt;
+  return it->second;
+}
+
+std::string check_lock(const HlsCluster& cluster, LockId lock) {
   const std::size_t n = cluster.node_count();
 
   // I1: token uniqueness (0 allowed transiently: token in flight).
   std::size_t token_nodes = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (cluster.node(i).engine(lock).is_token_node()) ++token_nodes;
+    if (is_token_node(cluster, i, lock)) ++token_nodes;
   }
   if (token_nodes > 1) {
     std::ostringstream os;
@@ -25,9 +48,10 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
   // I2: pairwise compatibility of all holds.
   std::vector<std::pair<NodeId, Mode>> held;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& engine = cluster.node(i).engine(lock);
-    for (const auto& [id, mode] : engine.holds()) {
-      held.emplace_back(engine.self(), mode);
+    const core::HlsEngine* engine = cluster.node(i).find(lock);
+    if (engine == nullptr) continue;
+    for (const auto& [id, mode] : engine->holds()) {
+      held.emplace_back(engine->self(), mode);
     }
   }
   for (std::size_t a = 0; a < held.size(); ++a) {
@@ -50,31 +74,33 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
   //    child is the old root whose registration travels in the token's
   //    sender_owned field).
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& engine = cluster.node(i).engine(lock);
-    if (engine.is_token_node()) continue;
-    if (engine.has_pending()) continue;
-    const Mode owned = engine.owned_mode();
+    const core::HlsEngine* engine = cluster.node(i).find(lock);
+    if (engine == nullptr) continue;
+    if (engine->is_token_node()) continue;
+    if (engine->has_pending()) continue;
+    const Mode owned = engine->owned_mode();
     if (owned == Mode::kNone) continue;
-    const NodeId parent = engine.parent();
+    const NodeId parent = engine->parent();
     if (!parent.valid()) {
       std::ostringstream os;
-      os << "lock " << lock << ": owner " << engine.self()
+      os << "lock " << lock << ": owner " << engine->self()
          << " has no parent";
       return os.str();
     }
-    const auto& pengine = cluster.node(parent.value).engine(lock);
-    if (pengine.has_pending()) continue;
-    const auto it = pengine.children().find(engine.self());
-    if (it == pengine.children().end()) {
+    const core::HlsEngine* pengine = cluster.node(parent.value).find(lock);
+    if (pengine != nullptr && pengine->has_pending()) continue;
+    const std::optional<Mode> recorded =
+        recorded_child_mode(pengine, engine->self());
+    if (!recorded) {
       std::ostringstream os;
-      os << "lock " << lock << ": owner " << engine.self() << " (owned "
+      os << "lock " << lock << ": owner " << engine->self() << " (owned "
          << owned << ") missing from parent " << parent << " copyset";
       return os.str();
     }
-    if (strength(it->second) < strength(owned)) {
+    if (strength(*recorded) < strength(owned)) {
       std::ostringstream os;
       os << "lock " << lock << ": parent " << parent << " records child "
-         << engine.self() << " as " << it->second
+         << engine->self() << " as " << *recorded
          << " weaker than actual owned " << owned;
       return os.str();
     }
@@ -84,7 +110,7 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
 
 }  // namespace
 
-std::string check_safety(HlsCluster& cluster) {
+std::string check_safety(const HlsCluster& cluster) {
   const std::uint32_t locks = cluster.layout().lock_count();
   for (std::uint32_t l = 0; l < locks; ++l) {
     std::string err = check_lock(cluster, LockId{l});
@@ -93,7 +119,7 @@ std::string check_safety(HlsCluster& cluster) {
   return {};
 }
 
-std::string check_quiescent(HlsCluster& cluster) {
+std::string check_quiescent(const HlsCluster& cluster) {
   std::string err = check_safety(cluster);
   if (!err.empty()) return err;
 
@@ -103,21 +129,22 @@ std::string check_quiescent(HlsCluster& cluster) {
     const LockId lock{l};
     std::size_t token_nodes = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& engine = cluster.node(i).engine(lock);
-      if (engine.is_token_node()) ++token_nodes;
+      if (is_token_node(cluster, i, lock)) ++token_nodes;
+      const core::HlsEngine* engine = cluster.node(i).find(lock);
+      if (engine == nullptr) continue;  // untouched: clean by construction
       std::ostringstream os;
-      if (!engine.holds().empty()) {
+      if (!engine->holds().empty()) {
         os << "lock " << lock << ": node " << i << " still holds";
-      } else if (engine.has_pending()) {
+      } else if (engine->has_pending()) {
         os << "lock " << lock << ": node " << i << " still pending";
-      } else if (!engine.queue().empty()) {
+      } else if (!engine->queue().empty()) {
         os << "lock " << lock << ": node " << i << " queue not empty";
-      } else if (!engine.children().empty()) {
+      } else if (!engine->children().empty()) {
         os << "lock " << lock << ": node " << i << " copyset not empty";
-      } else if (!engine.frozen().empty()) {
+      } else if (!engine->frozen().empty()) {
         os << "lock " << lock << ": node " << i << " still frozen "
-           << engine.frozen().to_string();
-      } else if (engine.backlog_size() != 0) {
+           << engine->frozen().to_string();
+      } else if (engine->backlog_size() != 0) {
         os << "lock " << lock << ": node " << i << " backlog not empty";
       }
       const std::string s = os.str();

@@ -17,11 +17,13 @@
 namespace hlock::harness {
 
 /// Checks I1-I3. Returns an empty string if all hold, else a description
-/// of the first violation. Safe to call between arbitrary events.
-std::string check_safety(HlsCluster& cluster);
+/// of the first violation. Safe to call between arbitrary events. Reads
+/// engines without building any: an engine nothing has touched counts as
+/// its initial state (idle; the token node only at its initial holder).
+std::string check_safety(const HlsCluster& cluster);
 
 /// Checks I4 in addition to I1-I3; call only after run() completed.
-std::string check_quiescent(HlsCluster& cluster);
+std::string check_quiescent(const HlsCluster& cluster);
 
 /// Installs check_safety as the simulator's post-event hook; any violation
 /// throws std::logic_error with the description (fails the test at the

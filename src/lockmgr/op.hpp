@@ -1,6 +1,7 @@
 // Application-level operations on the two-level resource hierarchy.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -16,6 +17,8 @@ enum class OpKind : std::uint8_t {
   kEntryWrite,    ///< IW on the table, then W on one entry
   kTableWrite,    ///< W on the table
 };
+inline constexpr std::size_t kOpKindCount =
+    static_cast<std::size_t>(OpKind::kTableWrite) + 1;
 
 const char* to_string(OpKind k);
 

@@ -107,6 +107,32 @@ TEST(Recovery, DeadReadersHoldVanishes) {
   net.pump();
 }
 
+// begin_recovery clears the queue, and the per-mode queue counts behind
+// the token's frozen set (Rule 6) must clear with it, or a crashed
+// waiter's mode would stay frozen in the new view.
+TEST(Recovery, ClearedQueueLeavesNoModeFrozen) {
+  Net net;
+  net.add('A', 'A');
+  net.add('B', 'A');
+  net.add('C', 'A');
+  const RequestId held = net['A'].request_lock(Mode::kR);  // root holds R
+  (void)net['B'].request_lock(Mode::kW);  // queued behind it, freezes R
+  net.pump();
+  ASSERT_EQ(net['A'].queue().size(), 1u);
+  ASSERT_FALSE(net['A'].frozen().empty());
+  net.crash('B');
+  net.recover(1, 'A');
+  EXPECT_TRUE(net['A'].queue().empty());
+  EXPECT_TRUE(net['A'].frozen().empty()) << net['A'].frozen().to_string();
+  // A new reader is compatible with the root's R and no longer frozen out.
+  (void)net['C'].request_lock(Mode::kR);
+  net.pump();
+  ASSERT_EQ(net.acquired['C'].size(), 1u);
+  net['C'].unlock(net.acquired['C'][0].first);
+  net['A'].unlock(held);
+  net.pump();
+}
+
 TEST(Recovery, TokenHolderCrashRegeneratesToken) {
   Net net;
   net.add('A', 'A');
