@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/cluster.hpp"
+#include "harness/many_locks_cluster.hpp"
 
 namespace hlock {
 namespace {
@@ -81,6 +82,47 @@ TEST(SeedRegression, NaimiFig5Counts) {
   EXPECT_EQ(r.virtual_end, 157215059);
   EXPECT_EQ(r.messages_by_kind.get("naimi_request"), 2573u);
   EXPECT_EQ(r.messages_by_kind.get("naimi_token"), 960u);
+}
+
+// The plan path (many-lock forest, cross-tree gateway legs): constants
+// recorded at the revision that still ran it through a dedicated plan
+// session. The shard-count cmp oracles cannot see a behavior change that
+// is identical at every shard count; these can.
+harness::ManyLocksResult run_forest(bool coupled) {
+  harness::ManyLocksConfig cfg;
+  cfg.nodes = 8;
+  cfg.trees = 8;
+  cfg.levels = 4;
+  cfg.spec.lock_count = 8 * 500;
+  cfg.spec.zipf_theta = 0.9;
+  cfg.spec.ops_per_node = 20;
+  cfg.spec.seed = 42;
+  if (coupled) {
+    cfg.cross_tree_pct = 10.0;
+    cfg.clusters = 4;
+    cfg.intra_latency_mean = usec(50);
+  }
+  harness::ManyLocksCluster cluster(cfg);
+  cluster.run();
+  return cluster.result();
+}
+
+TEST(SeedRegression, ManyLocksCounts) {
+  const harness::ManyLocksResult flat = run_forest(false);
+  EXPECT_EQ(flat.ops, 1280u);
+  EXPECT_EQ(flat.lock_requests, 4982u);
+  EXPECT_EQ(flat.messages, 12505u);
+  EXPECT_EQ(flat.events, 18767u);
+  EXPECT_EQ(flat.virtual_end, 37515447);
+  EXPECT_EQ(flat.cross_tree_ops, 0u);
+
+  const harness::ManyLocksResult coupled = run_forest(true);
+  EXPECT_EQ(coupled.ops, 1280u);
+  EXPECT_EQ(coupled.lock_requests, 5538u);
+  EXPECT_EQ(coupled.messages, 13997u);
+  EXPECT_EQ(coupled.events, 21085u);
+  EXPECT_EQ(coupled.virtual_end, 67037269);
+  EXPECT_EQ(coupled.cross_tree_ops, 135u);
 }
 
 }  // namespace
