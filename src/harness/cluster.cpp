@@ -91,8 +91,6 @@ void ClusterBase::register_inbound(
 }
 
 void ClusterBase::run() {
-  if (sessions_.size() != config_.nodes)
-    throw std::logic_error("sessions not initialized");
   for (std::size_t i = 0; i < config_.nodes; ++i) kick_node(i);
   sim_.run_all();
 
@@ -113,7 +111,7 @@ void ClusterBase::kick_node(std::size_t i) {
 
 void ClusterBase::run_one_op(std::size_t i) {
   const lockmgr::Op op = generators_[i]->next();
-  sessions_[i]->start(op, [this, i](const lockmgr::OpStats& stats) {
+  start_op(i, op, [this, i](const lockmgr::OpStats& stats) {
     ++completed_;
     --remaining_[i];
     lock_requests_ += stats.lock_requests;
@@ -181,9 +179,14 @@ HlsCluster::HlsCluster(const ClusterConfig& config)
     nodes_.push_back(std::move(node));
   }
   for (std::size_t i = 0; i < config.nodes; ++i) {
-    sessions_.push_back(
-        std::make_unique<lockmgr::HierSession>(*nodes_[i], layout_, exec_));
+    muxes_.push_back(std::make_unique<lockmgr::SessionMux>(
+        *nodes_[i], layout_, exec_, /*sessions=*/1));
   }
+}
+
+void HlsCluster::start_op(std::size_t i, const lockmgr::Op& op,
+                          lockmgr::DoneFn done) {
+  muxes_[i]->start(0, op, std::move(done));
 }
 
 NodeId HlsCluster::initial_holder(LockId lock) const {
@@ -202,7 +205,7 @@ NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)
     const NodeId id{static_cast<std::uint32_t>(i)};
     auto node = std::make_unique<naimi::NaimiNode>(id, transport_for(i));
     if (pure) {
-      node->add_lock(LockId{0}, NodeId{0});
+      node->add_lock(layout_.table_lock(), NodeId{0});
     } else {
       for (std::uint32_t e = 0; e < layout_.entry_count(); ++e) {
         node->add_lock(layout_.entry_lock(e),
@@ -214,14 +217,14 @@ NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)
     nodes_.push_back(std::move(node));
   }
   for (std::size_t i = 0; i < config.nodes; ++i) {
-    if (pure) {
-      sessions_.push_back(std::make_unique<lockmgr::NaimiPureSession>(
-          *nodes_[i], LockId{0}, exec_));
-    } else {
-      sessions_.push_back(std::make_unique<lockmgr::NaimiOrderedSession>(
-          *nodes_[i], layout_, exec_));
-    }
+    sessions_.push_back(std::make_unique<lockmgr::NaimiSession>(
+        *nodes_[i], layout_, exec_, pure));
   }
+}
+
+void NaimiCluster::start_op(std::size_t i, const lockmgr::Op& op,
+                            lockmgr::DoneFn done) {
+  sessions_[i]->start(op, std::move(done));
 }
 
 }  // namespace hlock::harness

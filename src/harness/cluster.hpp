@@ -17,6 +17,7 @@
 #include "harness/sim_executor.hpp"
 #include "lockmgr/resource.hpp"
 #include "lockmgr/session.hpp"
+#include "lockmgr/session_mux.hpp"
 #include "naimi/naimi_node.hpp"
 #include "sim/reliable.hpp"
 #include "sim/simnet.hpp"
@@ -82,11 +83,10 @@ class ClusterBase {
   std::function<void(NodeId, const lockmgr::OpStats&)> on_op_done;
 
  protected:
-  [[nodiscard]] lockmgr::Session& session(std::size_t i) {
-    return *sessions_[i];
-  }
-  /// Subclasses fill sessions_ (one per node) in their constructors.
-  std::vector<std::unique_ptr<lockmgr::Session>> sessions_;
+  /// Begin `op` on node `i`'s client; `done` fires (from simulator
+  /// context) after all its locks have been released.
+  virtual void start_op(std::size_t i, const lockmgr::Op& op,
+                        lockmgr::DoneFn done) = 0;
 
   ClusterConfig config_;
   sim::Simulator sim_;
@@ -140,7 +140,12 @@ class HlsCluster final : public detail::ClusterBase {
   [[nodiscard]] NodeId initial_holder(LockId lock) const;
 
  private:
+  void start_op(std::size_t i, const lockmgr::Op& op,
+                lockmgr::DoneFn done) override;
+
   std::vector<std::unique_ptr<core::HlsNode>> nodes_;
+  /// One single-session client per node.
+  std::vector<std::unique_ptr<lockmgr::SessionMux>> muxes_;
 };
 
 /// Naimi baseline, "same work" (ordered entry-lock acquisition) or "pure"
@@ -152,7 +157,11 @@ class NaimiCluster final : public detail::ClusterBase {
   [[nodiscard]] naimi::NaimiNode& node(std::size_t i) { return *nodes_[i]; }
 
  private:
+  void start_op(std::size_t i, const lockmgr::Op& op,
+                lockmgr::DoneFn done) override;
+
   std::vector<std::unique_ptr<naimi::NaimiNode>> nodes_;
+  std::vector<std::unique_ptr<lockmgr::NaimiSession>> sessions_;
 };
 
 }  // namespace hlock::harness

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -47,18 +46,12 @@ struct ManyLocksCluster::TreeState {
   SimExecutor exec;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
   std::vector<std::unique_ptr<core::HlsNode>> nodes;
-  std::vector<std::unique_ptr<lockmgr::PlanSession>> sessions;
+  /// One single-session client per node.
+  std::vector<std::unique_ptr<lockmgr::SessionMux>> sessions;
   std::vector<workload::ForestOpGen> gens;
   std::vector<std::uint32_t> remaining;
 
   // --- multi-tree transaction state (built only when coupling is on) ---
-  /// Locks the gateway still holds for a remote transaction's leg.
-  struct HeldLeg {
-    std::vector<lockmgr::PlanStep> plan;
-    std::vector<RequestId> held;
-    std::uint32_t req_tree{0};
-    std::size_t req_node{0};
-  };
   /// Stream for cross-shard hop latencies and order keys; distinct from
   /// the net/gen streams so uncoupled runs stay byte-identical.
   Rng cross_rng{0};
@@ -66,10 +59,11 @@ struct ManyLocksCluster::TreeState {
   std::uint64_t cross_completed{0};
   std::unique_ptr<sim::SimTransport> gw_transport;
   std::unique_ptr<core::HlsNode> gw_node;
-  std::unique_ptr<lockmgr::PlanSession> gw_session;
-  bool gw_busy{false};
+  /// Serves one leg at a time: busy from acquisition until release.
+  std::unique_ptr<lockmgr::SessionMux> gw_session;
   std::deque<std::shared_ptr<CrossFlight>> gw_queue;
-  std::map<std::uint64_t, HeldLeg> gw_held;
+  /// The leg whose locks gw_session holds (acquired, not yet released).
+  std::shared_ptr<CrossFlight> gw_leg;
   /// Per local node: partner tree index while a gateway leg of ours is
   /// outstanding (posted but not yet replied), else -1. Feeds the
   /// cross-tree wait edges.
@@ -156,7 +150,7 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
       tree->gens.emplace_back(config.spec, zipf_, Rng(mix(mix(seed, t), i)));
     }
     for (std::uint32_t i = 0; i < nodes; ++i) {
-      tree->sessions.push_back(std::make_unique<lockmgr::PlanSession>(
+      tree->sessions.push_back(std::make_unique<lockmgr::SessionMux>(
           *tree->nodes[i], tree->exec));
     }
     if (coupling_) {
@@ -179,7 +173,7 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
           gw_id, [n = gw.get()](const Message& m) { n->handle(m); });
       tree->gw_node = std::move(gw);
       tree->gw_session =
-          std::make_unique<lockmgr::PlanSession>(*tree->gw_node, tree->exec);
+          std::make_unique<lockmgr::SessionMux>(*tree->gw_node, tree->exec);
     }
     tree->remaining.assign(config.nodes, config.spec.ops_per_node);
     trees_.push_back(std::move(tree));
@@ -205,8 +199,8 @@ void ManyLocksCluster::run_one_op(TreeState& tree, std::size_t node) {
   std::vector<lockmgr::PlanStep> plan;
   workload::ForestOpGen::plan_for(layout_, op, plan);
   tree.sessions[node]->run(
-      std::move(plan), op.cs,
-      [this, &tree, node](const lockmgr::PlanSession::Result& r) {
+      0, std::move(plan), op.cs,
+      [this, &tree, node](const lockmgr::OpStats& r) {
         ++tree.completed;
         --tree.remaining[node];
         tree.lock_requests += r.lock_requests;
@@ -254,7 +248,7 @@ void ManyLocksCluster::start_cross_op(TreeState& tree, std::size_t node,
 
   if (fl->home_first) {
     tree.sessions[node]->acquire(
-        fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+        0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
           fl->lock_requests += r.lock_requests;
           post_leg(fl);
         });
@@ -276,27 +270,20 @@ void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl) {
 }
 
 void ManyLocksCluster::gateway_pump(TreeState& tree) {
-  // One leg at a time, FIFO — and not before every previously acquired
-  // leg has been released: concurrent legs always share at least the top
-  // lock, and an engine cannot hold a lock twice. The gateway "waiting"
-  // for a dwelling transaction is finite by itself; the genuine deadlock
-  // risk (hold-and-wait ACROSS trees) lives in the requesters and is what
-  // the wait-for graph tracks.
-  if (tree.gw_busy || !tree.gw_held.empty() || tree.gw_queue.empty()) return;
-  tree.gw_busy = true;
+  // One leg at a time, FIFO — and not before the previous leg has been
+  // released: concurrent legs always share at least the top lock, and an
+  // engine cannot hold a lock twice. The gateway "waiting" for a dwelling
+  // transaction is finite by itself; the genuine deadlock risk
+  // (hold-and-wait ACROSS trees) lives in the requesters and is what the
+  // wait-for graph tracks.
+  if (tree.gw_session->busy(0) || tree.gw_queue.empty()) return;
   std::shared_ptr<CrossFlight> fl = std::move(tree.gw_queue.front());
   tree.gw_queue.pop_front();
   tree.gw_session->acquire(
-      fl->remote_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+      0, fl->remote_plan, [this, fl](const lockmgr::OpStats& r) {
         TreeState& remote = *fl->remote;
-        TreeState::HeldLeg leg;
-        leg.plan = fl->remote_plan;
-        leg.held = remote.gw_session->detach();
-        leg.req_tree = fl->home->index;
-        leg.req_node = fl->node;
-        remote.gw_held.emplace(fl->leg_id, std::move(leg));
+        remote.gw_leg = fl;
         fl->lock_requests += r.lock_requests;
-        remote.gw_busy = false;
         // Reply: the requester resumes on its own shard, one hop later.
         sharded_.post(remote.shard, fl->home->shard,
                       remote.sim->now() + sample_hop(remote), make_key(remote),
@@ -314,20 +301,17 @@ void ManyLocksCluster::leg_replied(const std::shared_ptr<CrossFlight>& fl) {
     return;
   }
   fl->home->sessions[fl->node]->acquire(
-      fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+      0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
         fl->lock_requests += r.lock_requests;
         begin_dwell(fl);
       });
 }
 
 void ManyLocksCluster::gateway_release(TreeState& tree, std::uint64_t leg_id) {
-  const auto it = tree.gw_held.find(leg_id);
-  if (it == tree.gw_held.end())
+  if (!tree.gw_leg || tree.gw_leg->leg_id != leg_id)
     throw std::logic_error("release for an unknown cross-tree leg");
-  const TreeState::HeldLeg& leg = it->second;
-  for (std::size_t i = leg.plan.size(); i-- > 0;)
-    tree.gw_node->engine(leg.plan[i].lock).unlock(leg.held[i]);
-  tree.gw_held.erase(it);
+  tree.gw_session->release(0);
+  tree.gw_leg.reset();
   gateway_pump(tree);
 }
 
@@ -346,7 +330,7 @@ void ManyLocksCluster::finish_cross_op(const std::shared_ptr<CrossFlight>& fl) {
   sharded_.post(home.shard, remote.shard, home.sim->now() + sample_hop(home),
                 make_key(home),
                 [this, fl] { gateway_release(*fl->remote, fl->leg_id); });
-  home.sessions[fl->node]->release();
+  home.sessions[fl->node]->release(0);
 
   ++home.completed;
   ++home.cross_completed;
@@ -419,8 +403,8 @@ lockmgr::WaitForGraph ManyLocksCluster::wait_graph() const {
   if (!coupling_) return graph;
   // Harness-level cross-tree edges: a requester with an outstanding leg
   // waits for the partner tree's gateway (whether the leg is queued or
-  // mid-acquisition); a gateway holding a leg's locks releases them only
-  // when its requester finishes, so it waits for the requester.
+  // mid-acquisition); the gateway holding a leg's locks releases them
+  // only when its requester finishes, so it waits for the requester.
   for (const auto& tree : trees_) {
     const std::uint32_t base = tree->index * stride;
     for (std::size_t n = 0; n < config_.nodes; ++n) {
@@ -431,10 +415,11 @@ lockmgr::WaitForGraph ManyLocksCluster::wait_graph() const {
           NodeId{static_cast<std::uint32_t>(partner) * stride +
                  static_cast<std::uint32_t>(config_.nodes)});
     }
-    const NodeId gw{base + static_cast<std::uint32_t>(config_.nodes)};
-    for (const auto& [leg_id, leg] : tree->gw_held) {
-      graph.add_edge(gw, NodeId{leg.req_tree * stride +
-                                static_cast<std::uint32_t>(leg.req_node)});
+    if (const auto& leg = tree->gw_leg) {
+      graph.add_edge(
+          NodeId{base + static_cast<std::uint32_t>(config_.nodes)},
+          NodeId{leg->home->index * stride +
+                 static_cast<std::uint32_t>(leg->node)});
     }
   }
   return graph;

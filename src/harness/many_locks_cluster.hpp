@@ -35,7 +35,7 @@
 #include "core/hls_node.hpp"
 #include "harness/metrics.hpp"
 #include "harness/sim_executor.hpp"
-#include "lockmgr/plan_session.hpp"
+#include "lockmgr/session_mux.hpp"
 #include "lockmgr/waitgraph.hpp"
 #include "sim/latency.hpp"
 #include "sim/sharded.hpp"
@@ -123,7 +123,7 @@ class ManyLocksCluster {
   /// renamed into the global id space (tree * (nodes + 1) + local; the
   /// gateway is local id `nodes`), plus the harness's cross-tree edges —
   /// requester -> partner gateway while a leg is outstanding, and
-  /// gateway -> requester for every leg whose locks it still holds.
+  /// gateway -> requester while it holds that requester's leg.
   [[nodiscard]] lockmgr::WaitForGraph wait_graph() const;
 
   [[nodiscard]] std::uint64_t deadlock_cycles() const {

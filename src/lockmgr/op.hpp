@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "common/types.hpp"
 
@@ -29,5 +30,17 @@ struct Op {
   /// Critical-section dwell time (total across both upgrade phases).
   Duration cs{0};
 };
+
+/// Completion record for one executed Op.
+struct OpStats {
+  Op op{};
+  /// Issue time -> all locks held (critical section entered).
+  Duration acquire_latency{0};
+  /// Lock requests issued to execute the op (ours: one per plan step;
+  /// Naimi same work: 1 or entry_count; Naimi pure: 1).
+  std::uint32_t lock_requests{0};
+};
+
+using DoneFn = std::function<void(const OpStats&)>;
 
 }  // namespace hlock::lockmgr

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/mode.hpp"
-
 namespace hlock::lockmgr {
 
 const char* to_string(OpKind k) {
@@ -17,171 +15,52 @@ const char* to_string(OpKind k) {
   return "?";
 }
 
-// ---------------------------------------------------------------------------
-// HierSession
-// ---------------------------------------------------------------------------
-// Acquisition callbacks may fire synchronously from inside request_lock(),
-// i.e. before its return value could be stored. Sessions therefore never
-// compare an incoming request id against a stored one for the request they
-// are waiting on — they identify it by (phase, lock) and capture the id.
-
-HierSession::HierSession(core::HlsNode& node, const ResourceLayout& layout,
-                         Executor& executor)
-    : node_(node), layout_(layout), exec_(executor) {
-  node_.set_on_acquired([this](LockId lock, RequestId id, Mode mode) {
-    on_acquired(lock, id, mode);
-  });
-  node_.set_on_upgraded(
-      [this](LockId lock, RequestId id) { on_upgraded(lock, id); });
-}
-
-void HierSession::start(const Op& op, DoneFn done) {
-  if (busy()) throw std::logic_error("session already executing an op");
-  op_ = op;
-  done_ = std::move(done);
-  started_ = exec_.now();
-  lock_requests_ = 0;
-  phase_ = Phase::kWaitTable;
-
-  Mode table_mode = Mode::kNone;
-  switch (op.kind) {
-    case OpKind::kEntryRead: table_mode = Mode::kIR; break;
-    case OpKind::kTableRead: table_mode = Mode::kR; break;
-    case OpKind::kTableUpgrade: table_mode = Mode::kU; break;
-    case OpKind::kEntryWrite: table_mode = Mode::kIW; break;
-    case OpKind::kTableWrite: table_mode = Mode::kW; break;
-  }
-  ++lock_requests_;
-  (void)node_.engine(layout_.table_lock()).request_lock(table_mode);
-}
-
-void HierSession::on_acquired(LockId lock, RequestId id, Mode /*mode*/) {
-  if (phase_ == Phase::kWaitTable && lock == layout_.table_lock()) {
-    table_rid_ = id;
-    if (op_.kind == OpKind::kEntryRead || op_.kind == OpKind::kEntryWrite) {
-      // Intent acquired; take the leaf lock next. Scheduled to respect the
-      // no-reentrancy contract (this callback may run inside request_lock).
-      phase_ = Phase::kWaitEntry;
-      const Mode leaf = op_.kind == OpKind::kEntryRead ? Mode::kR : Mode::kW;
-      exec_.schedule(0, [this, leaf] {
-        ++lock_requests_;
-        (void)node_.engine(layout_.entry_lock(op_.entry)).request_lock(leaf);
-      });
-    } else {
-      enter_cs();
-    }
-    return;
-  }
-  if (phase_ == Phase::kWaitEntry && lock == layout_.entry_lock(op_.entry)) {
-    entry_rid_ = id;
-    enter_cs();
-    return;
-  }
-  throw std::logic_error("unexpected acquisition callback");
-}
-
-void HierSession::enter_cs() {
-  phase_ = Phase::kInCs;
-  acquire_latency_ = exec_.now() - started_;
-  // Upgrade ops split the dwell: read under U, then write under W.
-  const Duration dwell =
-      op_.kind == OpKind::kTableUpgrade ? op_.cs / 2 : op_.cs;
-  exec_.schedule(dwell, [this] { leave_cs(); });
-}
-
-void HierSession::leave_cs() {
-  if (op_.kind == OpKind::kTableUpgrade && phase_ == Phase::kInCs) {
-    phase_ = Phase::kWaitUpgrade;
-    node_.engine(layout_.table_lock()).upgrade(table_rid_);
-    return;
-  }
-  // Release leaf before intent (standard hierarchical order).
-  if (op_.kind == OpKind::kEntryRead || op_.kind == OpKind::kEntryWrite) {
-    node_.engine(layout_.entry_lock(op_.entry)).unlock(entry_rid_);
-  }
-  node_.engine(layout_.table_lock()).unlock(table_rid_);
-  finish();
-}
-
-void HierSession::on_upgraded(LockId lock, RequestId id) {
-  if (phase_ != Phase::kWaitUpgrade || lock != layout_.table_lock() ||
-      id != table_rid_) {
-    throw std::logic_error("unexpected upgrade callback");
-  }
-  phase_ = Phase::kInCs2;
-  exec_.schedule(op_.cs - op_.cs / 2, [this] {
-    node_.engine(layout_.table_lock()).unlock(table_rid_);
-    finish();
-  });
-}
-
-void HierSession::finish() {
-  phase_ = Phase::kIdle;
-  OpStats stats;
-  stats.op = op_;
-  stats.lock_requests = lock_requests_;
-  stats.acquire_latency = acquire_latency_;
-  if (done_) {
-    DoneFn done = std::move(done_);
-    done_ = nullptr;
-    done(stats);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// NaimiOrderedSession
-// ---------------------------------------------------------------------------
-
-NaimiOrderedSession::NaimiOrderedSession(naimi::NaimiNode& node,
-                                         const ResourceLayout& layout,
-                                         Executor& executor)
-    : node_(node), layout_(layout), exec_(executor) {
+NaimiSession::NaimiSession(naimi::NaimiNode& node,
+                           const ResourceLayout& layout, Executor& executor,
+                           bool pure)
+    : node_(node), layout_(layout), exec_(executor), pure_(pure) {
   node_.set_on_acquired(
       [this](LockId lock, RequestId id) { on_acquired(lock, id); });
 }
 
-void NaimiOrderedSession::start(const Op& op, DoneFn done) {
+void NaimiSession::start(const Op& op, DoneFn done) {
   if (busy()) throw std::logic_error("session already executing an op");
   active_ = true;
   op_ = op;
   done_ = std::move(done);
   started_ = exec_.now();
   held_.clear();
-  next_ = 0;
 
-  switch (op.kind) {
-    case OpKind::kEntryRead:
-    case OpKind::kEntryWrite:
-      plan_ = {layout_.entry_lock(op.entry)};
-      break;
-    case OpKind::kTableRead:
-    case OpKind::kTableUpgrade:
-    case OpKind::kTableWrite:
-      // No shared or hierarchical modes: lock the whole table by taking
-      // every entry lock, in ascending order to avoid deadlock (§4).
-      plan_ = layout_.entry_locks_in_order();
-      break;
+  if (pure_) {
+    plan_ = {layout_.table_lock()};
+  } else if (op.kind == OpKind::kEntryRead ||
+             op.kind == OpKind::kEntryWrite) {
+    plan_ = {layout_.entry_lock(op.entry)};
+  } else {
+    // No shared or hierarchical modes: lock the whole table by taking
+    // every entry lock, in ascending order to avoid deadlock (§4).
+    plan_ = layout_.entry_locks_in_order();
   }
   acquire_next();
 }
 
-void NaimiOrderedSession::acquire_next() {
-  (void)node_.engine(plan_[next_]).request();
+void NaimiSession::acquire_next() {
+  (void)node_.engine(plan_[held_.size()]).request();
 }
 
-void NaimiOrderedSession::on_acquired(LockId lock, RequestId id) {
-  if (!active_ || next_ >= plan_.size() || lock != plan_[next_])
+void NaimiSession::on_acquired(LockId lock, RequestId id) {
+  if (!active_ || held_.size() >= plan_.size() ||
+      lock != plan_[held_.size()])
     throw std::logic_error("unexpected acquisition callback");
   held_.push_back(id);
-  ++next_;
-  if (next_ < plan_.size()) {
+  if (held_.size() < plan_.size()) {
     exec_.schedule(0, [this] { acquire_next(); });
     return;
   }
   enter_cs();
 }
 
-void NaimiOrderedSession::enter_cs() {
+void NaimiSession::enter_cs() {
   const Duration latency = exec_.now() - started_;
   exec_.schedule(op_.cs, [this, latency] {
     // Release in reverse acquisition order.
@@ -189,54 +68,10 @@ void NaimiOrderedSession::enter_cs() {
       node_.engine(plan_[i]).release(held_[i]);
     }
     active_ = false;
-    OpStats stats;
-    stats.op = op_;
-    stats.acquire_latency = latency;
-    stats.lock_requests = static_cast<std::uint32_t>(plan_.size());
     if (done_) {
       DoneFn done = std::move(done_);
       done_ = nullptr;
-      done(stats);
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
-// NaimiPureSession
-// ---------------------------------------------------------------------------
-
-NaimiPureSession::NaimiPureSession(naimi::NaimiNode& node, LockId global_lock,
-                                   Executor& executor)
-    : node_(node), global_lock_(global_lock), exec_(executor) {
-  node_.set_on_acquired(
-      [this](LockId lock, RequestId id) { on_acquired(lock, id); });
-}
-
-void NaimiPureSession::start(const Op& op, DoneFn done) {
-  if (busy()) throw std::logic_error("session already executing an op");
-  active_ = true;
-  op_ = op;
-  done_ = std::move(done);
-  started_ = exec_.now();
-  (void)node_.engine(global_lock_).request();
-}
-
-void NaimiPureSession::on_acquired(LockId lock, RequestId id) {
-  if (!active_ || lock != global_lock_)
-    throw std::logic_error("unexpected acquisition callback");
-  rid_ = id;
-  const Duration latency = exec_.now() - started_;
-  exec_.schedule(op_.cs, [this, latency] {
-    node_.engine(global_lock_).release(rid_);
-    active_ = false;
-    OpStats stats;
-    stats.op = op_;
-    stats.acquire_latency = latency;
-    stats.lock_requests = 1;
-    if (done_) {
-      DoneFn done = std::move(done_);
-      done_ = nullptr;
-      done(stats);
+      done(OpStats{op_, latency, static_cast<std::uint32_t>(plan_.size())});
     }
   });
 }

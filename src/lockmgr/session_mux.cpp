@@ -24,34 +24,79 @@ Mode table_mode(const Op& op) {
 
 SessionMux::SessionMux(core::HlsNode& node, const ResourceLayout& layout,
                        Executor& executor, std::uint32_t sessions)
-    : node_(node), layout_(layout), exec_(executor), clients_(sessions) {
+    : SessionMux(node, executor, sessions) {
+  layout_ = &layout;
+}
+
+SessionMux::SessionMux(core::HlsNode& node, Executor& executor,
+                       std::uint32_t sessions)
+    : node_(node), layout_(nullptr), exec_(executor), clients_(sessions) {
   if (sessions == 0) throw std::invalid_argument("need >= 1 session");
-  node_.set_on_acquired([this](LockId lock, RequestId id, Mode mode) {
-    on_acquired(lock, id, mode);
+  node_.set_on_acquired([this](LockId lock, RequestId id, Mode /*mode*/) {
+    on_acquired(lock, id);
   });
   node_.set_on_upgraded(
       [this](LockId lock, RequestId id) { on_upgraded(lock, id); });
 }
 
-void SessionMux::start(std::uint32_t session, const Op& op, DoneFn done) {
-  Client& c = clients_.at(session);
+SessionMux::Client& SessionMux::idle_client(std::uint32_t sid) {
+  Client& c = clients_.at(sid);
   if (c.phase != Phase::kIdle)
     throw std::logic_error("session already executing an op");
+  return c;
+}
+
+void SessionMux::start(std::uint32_t session, const Op& op, DoneFn done) {
+  if (layout_ == nullptr)
+    throw std::logic_error("start() needs a mux built with a ResourceLayout");
+  Client& c = idle_client(session);
+  c.plan.clear();
+  c.plan.push_back({layout_->table_lock(), table_mode(op)});
+  if (op.kind == OpKind::kEntryRead || op.kind == OpKind::kEntryWrite) {
+    const Mode leaf = op.kind == OpKind::kEntryRead ? Mode::kR : Mode::kW;
+    c.plan.push_back({layout_->entry_lock(op.entry), leaf});
+  }
+  begin(session, op, op.kind == OpKind::kTableUpgrade, /*keep=*/false,
+        std::move(done));
+}
+
+void SessionMux::run(std::uint32_t session, std::vector<PlanStep> plan,
+                     Duration cs, DoneFn done) {
+  idle_client(session).plan = std::move(plan);
+  Op op;
+  op.cs = cs;
+  begin(session, op, /*upgrade=*/false, /*keep=*/false, std::move(done));
+}
+
+void SessionMux::acquire(std::uint32_t session, std::vector<PlanStep> plan,
+                         DoneFn done) {
+  idle_client(session).plan = std::move(plan);
+  begin(session, Op{}, /*upgrade=*/false, /*keep=*/true, std::move(done));
+}
+
+void SessionMux::release(std::uint32_t session) {
+  if (clients_.at(session).phase != Phase::kHeld)
+    throw std::logic_error("release without a fully acquired plan");
+  finish(session);
+}
+
+void SessionMux::begin(std::uint32_t sid, const Op& op, bool upgrade,
+                       bool keep, DoneFn done) {
+  Client& c = clients_[sid];
+  if (c.plan.empty()) throw std::invalid_argument("empty lock plan");
   c.op = op;
+  c.upgrade = upgrade;
+  c.keep = keep;
   c.done = std::move(done);
+  c.held.clear();
+  c.pending = RequestId{};
   c.started = exec_.now();
   c.acquire_latency = 0;
   c.lock_requests = 0;
   ++active_;
   c.phase = Phase::kGated;
-  gate_queue_.push_back(session);
+  gate_queue_.push_back(sid);
   drain_gate();
-}
-
-void SessionMux::admit(std::uint32_t sid) {
-  Client& c = clients_[sid];
-  c.phase = Phase::kWaitTable;
-  issue(sid, layout_.table_lock(), table_mode(c.op));
 }
 
 void SessionMux::drain_gate() {
@@ -62,136 +107,118 @@ void SessionMux::drain_gate() {
   // with an empty local pending slot — see the class comment.
   while (!gate_queue_.empty()) {
     const std::uint32_t sid = gate_queue_.front();
-    const bool upgrade = clients_[sid].op.kind == OpKind::kTableUpgrade;
+    const bool upgrade = clients_[sid].upgrade;
     if (upgrade ? admitted_ != 0 : active_upgrades_ != 0) return;
     gate_queue_.pop_front();
     ++admitted_;
     if (upgrade) ++active_upgrades_;
-    admit(sid);
+    clients_[sid].phase = Phase::kAcquiring;
+    issue(sid);
   }
 }
 
-void SessionMux::issue(std::uint32_t sid, LockId lock, Mode mode) {
-  ++clients_[sid].lock_requests;
-  issuing_ = true;
-  issuing_bound_ = false;
-  issuing_sid_ = sid;
-  issuing_lock_ = lock;
-  const RequestId rid = node_.engine(lock).request_lock(mode);
-  issuing_ = false;
+void SessionMux::issue(std::uint32_t sid) {
+  // One issuing slot: acquire()'s done, which may run inside
+  // request_lock, must not start another plan on this mux from there.
+  if (issuing_.active)
+    throw std::logic_error("plan step issued from inside request_lock");
+  Client& c = clients_[sid];
+  const PlanStep step = c.plan[c.held.size()];
+  ++c.lock_requests;
+  issuing_ = Issuing{true, false, sid, step.lock};
+  const RequestId rid = node_.engine(step.lock).request_lock(step.mode);
+  issuing_.active = false;
   // A synchronous grant already bound (and possibly advanced) this
-  // request inside on_acquired; only a still-pending one needs routing.
-  if (!issuing_bound_) route_[key(lock, rid)] = sid;
+  // request inside on_acquired; only a still-pending one is recorded.
+  if (!issuing_.bound) c.pending = rid;
 }
 
-void SessionMux::on_acquired(LockId lock, RequestId id, Mode /*mode*/) {
-  std::uint32_t sid;
-  const auto it = route_.find(key(lock, id));
-  if (it != route_.end()) {
-    sid = it->second;
-  } else if (issuing_ && lock == issuing_lock_ && !issuing_bound_) {
+void SessionMux::on_acquired(LockId lock, RequestId id) {
+  for (std::uint32_t sid = 0; sid < clients_.size(); ++sid) {
+    Client& c = clients_[sid];
+    if (c.pending == id && c.phase == Phase::kAcquiring &&
+        c.plan[c.held.size()].lock == lock) {
+      c.pending = RequestId{};
+      grant(sid, lock, id);
+      return;
+    }
+  }
+  if (issuing_.active && !issuing_.bound && lock == issuing_.lock) {
     // Synchronous grant for the request_lock call currently on the
     // stack: its id reaches us before issue() could learn it.
-    sid = issuing_sid_;
-    issuing_bound_ = true;
-    route_[key(lock, id)] = sid;
-  } else {
-    throw std::logic_error("grant for an unrouted (lock, request) pair");
+    issuing_.bound = true;
+    grant(issuing_.sid, lock, id);
+    return;
   }
-  grant(sid, lock, id);
+  throw std::logic_error("grant for an unrouted (lock, request) pair");
 }
 
 void SessionMux::grant(std::uint32_t sid, LockId lock, RequestId id) {
   Client& c = clients_[sid];
-  if (c.phase == Phase::kWaitTable && lock == layout_.table_lock()) {
-    c.table_rid = id;
-    if (c.op.kind == OpKind::kEntryRead || c.op.kind == OpKind::kEntryWrite) {
-      // Intent acquired; take the leaf lock next. Scheduled to respect
-      // the no-reentrancy contract (we may be inside request_lock).
-      c.phase = Phase::kWaitEntry;
-      const Mode leaf = c.op.kind == OpKind::kEntryRead ? Mode::kR : Mode::kW;
-      exec_.schedule(0, [this, sid, leaf] {
-        issue(sid, layout_.entry_lock(clients_[sid].op.entry), leaf);
-      });
-    } else {
-      enter_cs(sid);
-    }
+  if (c.phase != Phase::kAcquiring || c.plan[c.held.size()].lock != lock)
+    throw std::logic_error("unexpected acquisition callback");
+  c.held.push_back(id);
+  if (c.held.size() < c.plan.size()) {
+    // Next step scheduled, never issued here: we may be inside
+    // request_lock, and the engines are not re-entrant.
+    exec_.schedule(0, [this, sid] { issue(sid); });
     return;
   }
-  if (c.phase == Phase::kWaitEntry && lock == layout_.entry_lock(c.op.entry)) {
-    c.entry_rid = id;
-    enter_cs(sid);
-    return;
-  }
-  throw std::logic_error("unexpected acquisition callback");
-}
-
-void SessionMux::enter_cs(std::uint32_t sid) {
-  Client& c = clients_[sid];
-  c.phase = Phase::kInCs;
   c.acquire_latency = exec_.now() - c.started;
+  if (c.keep) {
+    c.phase = Phase::kHeld;
+    // Moved out first: the callback may release() and start anew.
+    DoneFn done = std::move(c.done);
+    c.done = nullptr;
+    if (done) done(OpStats{c.op, c.acquire_latency, c.lock_requests});
+    return;
+  }
+  c.phase = Phase::kInCs;
   // Upgrade ops split the dwell: read under U, then write under W.
-  const Duration dwell =
-      c.op.kind == OpKind::kTableUpgrade ? c.op.cs / 2 : c.op.cs;
+  const Duration dwell = c.upgrade ? c.op.cs / 2 : c.op.cs;
   exec_.schedule(dwell, [this, sid] { leave_cs(sid); });
 }
 
 void SessionMux::leave_cs(std::uint32_t sid) {
   Client& c = clients_[sid];
-  if (c.op.kind == OpKind::kTableUpgrade && c.phase == Phase::kInCs) {
-    // The upgrade completion reuses table_rid, whose route entry is
-    // still live, so on_upgraded finds its way back here.
+  if (c.upgrade && c.phase == Phase::kInCs) {
+    // The completion reuses the held request id, which routes it back.
     c.phase = Phase::kWaitUpgrade;
-    node_.engine(layout_.table_lock()).upgrade(c.table_rid);
+    node_.engine(c.plan.back().lock).upgrade(c.held.back());
     return;
   }
-  // Release leaf before intent (standard hierarchical order).
-  if (c.op.kind == OpKind::kEntryRead || c.op.kind == OpKind::kEntryWrite) {
-    const LockId entry = layout_.entry_lock(c.op.entry);
-    node_.engine(entry).unlock(c.entry_rid);
-    route_.erase(key(entry, c.entry_rid));
-  }
-  node_.engine(layout_.table_lock()).unlock(c.table_rid);
-  route_.erase(key(layout_.table_lock(), c.table_rid));
   finish(sid);
 }
 
 void SessionMux::on_upgraded(LockId lock, RequestId id) {
-  const auto it = route_.find(key(lock, id));
-  if (it == route_.end())
-    throw std::logic_error("upgrade completion for an unrouted pair");
-  const std::uint32_t sid = it->second;
-  Client& c = clients_[sid];
-  if (c.phase != Phase::kWaitUpgrade || lock != layout_.table_lock() ||
-      id != c.table_rid) {
-    throw std::logic_error("unexpected upgrade callback");
+  for (std::uint32_t sid = 0; sid < clients_.size(); ++sid) {
+    Client& c = clients_[sid];
+    if (c.phase == Phase::kWaitUpgrade && c.held.back() == id &&
+        c.plan.back().lock == lock) {
+      c.phase = Phase::kInCs2;
+      exec_.schedule(c.op.cs - c.op.cs / 2, [this, sid] { leave_cs(sid); });
+      return;
+    }
   }
-  c.phase = Phase::kInCs2;
-  exec_.schedule(c.op.cs - c.op.cs / 2, [this, sid] {
-    Client& c2 = clients_[sid];
-    node_.engine(layout_.table_lock()).unlock(c2.table_rid);
-    route_.erase(key(layout_.table_lock(), c2.table_rid));
-    finish(sid);
-  });
+  throw std::logic_error("upgrade completion for an unrouted pair");
 }
 
 void SessionMux::finish(std::uint32_t sid) {
   Client& c = clients_[sid];
+  // Release leaf before intent (standard hierarchical order).
+  for (std::size_t i = c.plan.size(); i-- > 0;)
+    node_.engine(c.plan[i].lock).unlock(c.held[i]);
   c.phase = Phase::kIdle;
   --active_;
   ++completed_;
   // Release the gate slot before the done callback: it may start a new
   // op on this session, which must see up-to-date admission counts.
   --admitted_;
-  if (c.op.kind == OpKind::kTableUpgrade) --active_upgrades_;
-  OpStats stats;
-  stats.op = c.op;
-  stats.lock_requests = c.lock_requests;
-  stats.acquire_latency = c.acquire_latency;
+  if (c.upgrade) --active_upgrades_;
   if (c.done) {
     DoneFn done = std::move(c.done);
     c.done = nullptr;
-    done(stats);
+    done(OpStats{c.op, c.acquire_latency, c.lock_requests});
   }
   drain_gate();
 }

@@ -98,7 +98,8 @@ class SimNetwork {
  private:
   /// Simulator deliver-event trampoline (ctx is the SimNetwork).
   static void deliver_event(void* ctx, NodeId from, NodeId to, Message& m);
-  /// Grow the channel-clock matrix to cover ids < n.
+  /// Grow the channel-clock matrix to cover ids < n (at least doubling
+  /// the stride), keeping every channel's clock.
   void grow_stride(std::size_t n);
 
   Simulator& sim_;

@@ -1,15 +1,8 @@
-// Multi-level hierarchy and PlanSession tests: lock-plan computation,
-// intent-mode selection, and end-to-end 3-level runs on the simulator
-// with the safety probe.
+// Multi-level hierarchy tests: lock-plan computation and intent-mode
+// selection. (Plans run end to end in test_sessions.cpp.)
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "harness/sim_executor.hpp"
 #include "lockmgr/hierarchy.hpp"
-#include "lockmgr/plan_session.hpp"
-#include "sim/simnet.hpp"
-#include "sim/simulator.hpp"
 
 namespace hlock::lockmgr {
 namespace {
@@ -96,118 +89,6 @@ TEST(Hierarchy, PlanCompatibilityAcrossDisjointSubtrees) {
       EXPECT_TRUE(compatible(a.mode, b.mode));
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-
-struct PlanFixture {
-  PlanFixture()
-      : net(sim, std::make_unique<sim::UniformLatency>(msec(10)), Rng(4)),
-        exec(sim),
-        hierarchy(three_level()) {
-    for (std::uint32_t i = 0; i < 3; ++i) {
-      const NodeId id{i};
-      transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      nodes.push_back(
-          std::make_unique<core::HlsNode>(id, *transports.back()));
-      for (std::uint32_t l = 0; l < hierarchy.resource_count(); ++l) {
-        nodes.back()->add_lock(LockId{l}, NodeId{0});
-      }
-      net.register_node(id, [n = nodes.back().get()](const Message& m) {
-        n->handle(m);
-      });
-    }
-    for (auto& n : nodes) {
-      sessions.push_back(std::make_unique<PlanSession>(*n, exec));
-    }
-  }
-
-  sim::Simulator sim;
-  sim::SimNetwork net;
-  harness::SimExecutor exec;
-  Hierarchy hierarchy;
-  std::vector<std::unique_ptr<sim::SimTransport>> transports;
-  std::vector<std::unique_ptr<core::HlsNode>> nodes;
-  std::vector<std::unique_ptr<PlanSession>> sessions;
-};
-
-TEST(PlanSession, ExecutesThreeLevelPlan) {
-  PlanFixture f;
-  bool done = false;
-  f.sim.schedule_at(0, [&] {
-    f.sessions[1]->run(lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
-                       msec(5), [&](const PlanSession::Result& r) {
-                         EXPECT_EQ(r.lock_requests, 3u);
-                         EXPECT_GT(r.acquire_latency, 0);
-                         done = true;
-                       });
-  });
-  f.sim.run_all();
-  EXPECT_TRUE(done);
-  // All released.
-  for (auto& n : f.nodes) {
-    for (std::uint32_t l = 0; l < f.hierarchy.resource_count(); ++l) {
-      EXPECT_TRUE(n->engine(LockId{l}).holds().empty());
-    }
-  }
-}
-
-TEST(PlanSession, DisjointRowWritersOverlap) {
-  PlanFixture f;
-  TimePoint acquired1 = 0, acquired2 = 0, done1 = 0, done2 = 0;
-  f.sim.schedule_at(0, [&] {
-    f.sessions[1]->run(lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
-                       msec(200), [&](const PlanSession::Result& r) {
-                         acquired1 = r.acquire_latency;
-                         done1 = f.sim.now();
-                       });
-  });
-  f.sim.schedule_at(0, [&] {
-    f.sessions[2]->run(lock_plan(f.hierarchy, ResourceId{5}, Mode::kW),
-                       msec(200), [&](const PlanSession::Result& r) {
-                         acquired2 = r.acquire_latency;
-                         done2 = f.sim.now();
-                       });
-  });
-  f.sim.run_all();
-  ASSERT_GT(done1, 0);
-  ASSERT_GT(done2, 0);
-  // Concurrent: the 200 ms critical sections overlapped (IW is
-  // compatible with IW at db level; rows are disjoint) — end times
-  // within one CS of each other rather than serialized.
-  EXPECT_LT(std::max(done1, done2), msec(200) * 2);
-}
-
-TEST(PlanSession, SameRowWritersSerialize) {
-  PlanFixture f;
-  TimePoint done1 = 0, done2 = 0;
-  for (const std::size_t who : {std::size_t{1}, std::size_t{2}}) {
-    f.sim.schedule_at(0, [&, who] {
-      f.sessions[who]->run(lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
-                           msec(200), [&, who](const PlanSession::Result&) {
-                             (who == 1 ? done1 : done2) = f.sim.now();
-                           });
-    });
-  }
-  f.sim.run_all();
-  ASSERT_GT(done1, 0);
-  ASSERT_GT(done2, 0);
-  EXPECT_GE(std::max(done1, done2), msec(400));  // serialized
-}
-
-TEST(PlanSession, RejectsBadUse) {
-  PlanFixture f;
-  f.sim.schedule_at(0, [&] {
-    EXPECT_THROW(f.sessions[0]->run({}, msec(1), nullptr),
-                 std::invalid_argument);
-    f.sessions[0]->run(lock_plan(f.hierarchy, ResourceId{1}, Mode::kR),
-                       msec(5), nullptr);
-    EXPECT_THROW(f.sessions[0]->run(
-                     lock_plan(f.hierarchy, ResourceId{1}, Mode::kR),
-                     msec(5), nullptr),
-                 std::logic_error);
-  });
-  f.sim.run_all();
 }
 
 }  // namespace

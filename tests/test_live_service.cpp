@@ -494,7 +494,9 @@ TEST(LiveService, SessionMuxRunsManySessionsOverLiveTcp) {
         op.entry = (sid + k) % kEntries;
         s.mux->start(sid, op, [&, node, sid](const lockmgr::OpStats& st) {
           EXPECT_GE(st.lock_requests, 1u);
-          completed.fetch_add(1, std::memory_order_relaxed);
+          // Release: once the test thread sees the total, every mux's
+          // own counters and phases were written before it.
+          completed.fetch_add(1, std::memory_order_release);
           pump(node, sid);
         });
       };

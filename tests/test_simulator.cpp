@@ -1,6 +1,7 @@
 // Discrete-event simulator and simulated-network tests.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simnet.hpp"
@@ -135,6 +136,56 @@ TEST(SimNetwork, ChannelFifoEvenWithRandomLatency) {
   f.sim.run_all();
   ASSERT_EQ(got.size(), 100u);
   for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(got[i], i);
+}
+
+/// Hands out scripted latencies in order (floor 1 us).
+class ScriptedLatency final : public LatencyModel {
+ public:
+  explicit ScriptedLatency(std::vector<Duration> script)
+      : script_(std::move(script)) {}
+  Duration sample(Rng&) override { return script_.at(next_++); }
+  [[nodiscard]] Duration mean() const override { return 1; }
+  [[nodiscard]] Duration min_latency() const override { return 1; }
+
+ private:
+  std::vector<Duration> script_;
+  std::size_t next_{0};
+};
+
+TEST(SimNetwork, ChannelClocksSurviveMatrixGrowth) {
+  // Each pair of sends on one channel is split by a growth of the clock
+  // matrix: by out-of-order registration (ids 1, 0, then 5, 3), and by a
+  // send from an id past the matrix (9, never registered). The second,
+  // faster message of each pair must still wait for the first.
+  Simulator sim;
+  SimNetwork net(sim,
+                 std::make_unique<ScriptedLatency>(std::vector<Duration>{
+                     1000, 900, 10, 10, 5, 1, 20}),
+                 Rng(1));
+  std::vector<std::pair<std::uint32_t, TimePoint>> got;
+  auto record = [&](const Message& m) {
+    got.emplace_back(m.lock.value, sim.now());
+  };
+  net.register_node(NodeId{1}, record);
+  net.register_node(NodeId{0}, record);
+  auto send = [&](std::uint32_t from, std::uint32_t to, std::uint32_t tag) {
+    Message m;
+    m.lock = LockId{tag};
+    net.send(NodeId{from}, NodeId{to}, m);
+  };
+  send(0, 1, 1);  // arrives at 1000
+  send(1, 0, 2);  // arrives at 900
+  net.register_node(NodeId{5}, record);
+  net.register_node(NodeId{3}, record);
+  send(0, 1, 3);  // 10 -> held to 1000
+  send(1, 0, 4);  // 10 -> held to 900
+  send(9, 0, 5);  // grows the matrix from the send path; arrives at 5
+  send(9, 0, 6);  // 1 -> held to 5
+  send(0, 1, 7);  // 20 -> held to 1000
+  sim.run_all();
+  const std::vector<std::pair<std::uint32_t, TimePoint>> want{
+      {5, 5}, {6, 5}, {2, 900}, {4, 900}, {1, 1000}, {3, 1000}, {7, 1000}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(SimNetwork, UnregisteredDestinationThrows) {
