@@ -402,9 +402,13 @@ lockmgr::WaitForGraph ManyLocksCluster::wait_graph() const {
   }
   if (!coupling_) return graph;
   // Harness-level cross-tree edges: a requester with an outstanding leg
-  // waits for the partner tree's gateway (whether the leg is queued or
-  // mid-acquisition); the gateway holding a leg's locks releases them
-  // only when its requester finishes, so it waits for the requester.
+  // waits for the partner tree's gateway, whether the leg is queued or
+  // mid-acquisition. A gateway that holds a leg waits for nobody: the
+  // leg's requester only dwells. Unordered mode acquires the home plan
+  // before posting the leg, so once the reply lands the requester dwells
+  // and posts the release, and a drained run never holds a leg. Ordered
+  // mode may acquire the home plan after the leg, but it takes trees in
+  // id order, so that wait can never close a cycle.
   for (const auto& tree : trees_) {
     const std::uint32_t base = tree->index * stride;
     for (std::size_t n = 0; n < config_.nodes; ++n) {
@@ -414,12 +418,6 @@ lockmgr::WaitForGraph ManyLocksCluster::wait_graph() const {
           NodeId{base + static_cast<std::uint32_t>(n)},
           NodeId{static_cast<std::uint32_t>(partner) * stride +
                  static_cast<std::uint32_t>(config_.nodes)});
-    }
-    if (const auto& leg = tree->gw_leg) {
-      graph.add_edge(
-          NodeId{base + static_cast<std::uint32_t>(config_.nodes)},
-          NodeId{leg->home->index * stride +
-                 static_cast<std::uint32_t>(leg->node)});
     }
   }
   return graph;

@@ -121,9 +121,8 @@ class ManyLocksCluster {
 
   /// Instantaneous forest-wide wait-for graph: per-tree engine scans
   /// renamed into the global id space (tree * (nodes + 1) + local; the
-  /// gateway is local id `nodes`), plus the harness's cross-tree edges —
-  /// requester -> partner gateway while a leg is outstanding, and
-  /// gateway -> requester while it holds that requester's leg.
+  /// gateway is local id `nodes`), plus the harness's cross-tree edges:
+  /// requester -> partner gateway while a leg is outstanding.
   [[nodiscard]] lockmgr::WaitForGraph wait_graph() const;
 
   [[nodiscard]] std::uint64_t deadlock_cycles() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -22,10 +21,49 @@ TimePoint window_end(TimePoint t, Duration lookahead) {
   return t > kEnd - lookahead ? kEnd : t + lookahead;
 }
 
+/// Cache-line size for padding run_parallel's hot atomics. A local
+/// constant, as in hierarchical queue locks: gcc warns on any use of
+/// std::hardware_destructive_interference_size (-Winterference-size).
+constexpr std::size_t kLine = 64;
+
+/// Yields a waiting thread makes before it parks on a futex. Yielding
+/// rather than busy-spinning keeps threads that share one CPU cheap:
+/// the one with work gets the CPU back at once.
+constexpr int kSpins = 64;
+
+/// Waits until `a` holds a value for which `ready` is true and returns
+/// it: yields up to kSpins times, then parks with std::atomic::wait.
+template <typename T, typename Ready>
+T await(const std::atomic<T>& a, Ready ready) {
+  T v = a.load(std::memory_order_acquire);
+  for (int spins = 0; !ready(v); v = a.load(std::memory_order_acquire)) {
+    if (spins < kSpins) {
+      ++spins;
+      std::this_thread::yield();
+    } else {
+      a.wait(v, std::memory_order_acquire);
+    }
+  }
+  return v;
+}
+
+// run_parallel's claim word: stop flag | generation | count | next.
+// `count` shards are active this round and `next` is the first
+// unclaimed index into them; a claim increments `next` by CAS.
+constexpr std::uint64_t kStop = std::uint64_t{1} << 63;
+constexpr std::uint64_t kGenerationMask = (std::uint64_t{1} << 31) - 1;
+
+std::uint64_t generation_of(std::uint64_t w) { return w >> 32; }
+std::size_t count_of(std::uint64_t w) { return (w >> 16) & 0xffff; }
+std::size_t next_of(std::uint64_t w) { return w & 0xffff; }
+
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(std::size_t shards) {
   if (shards == 0) throw std::invalid_argument("need >= 1 shard");
+  if (shards > kMaxShards)
+    throw std::invalid_argument("need <= " + std::to_string(kMaxShards) +
+                                " shards");
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i)
     shards_.push_back(std::make_unique<Simulator>());
@@ -128,86 +166,110 @@ void ShardedSimulator::run_serial(Duration lookahead,
 
 void ShardedSimulator::run_parallel(Duration lookahead, std::size_t workers,
                                     std::uint64_t max_events) {
-  // Persistent pool; one generation per round. Workers claim active
-  // shards through an atomic cursor, so a shard runs on exactly one
-  // thread per round — which also makes each mailbox row single-writer
-  // within the round, and the barrier orders the rows before the
-  // coordinator's drain. Every worker checks in once per generation, and
-  // the coordinator writes the next round's state only after all have
-  // (a count of *idle* workers would let a worker that never woke for a
-  // round wake late and read that state mid-write). A worker that throws
-  // (say, an unsafe post()) parks the exception; the coordinator stops
-  // after that round and rethrows it once the pool has joined.
-  std::mutex mutex;
-  std::condition_variable work_cv;
-  std::condition_variable done_cv;
-  std::uint64_t generation = 0;
-  bool stop = false;
-  std::size_t finished = 0;
+  // The calling thread coordinates and works: it publishes a round in
+  // the claim word, then claims shards through it like the workers-1
+  // helpers do, so a shard runs on exactly one thread per round — which
+  // also makes each mailbox row single-writer within the round. The
+  // coordinator waits until as many shards have finished as the round
+  // published (the release increments order the rows before its drain),
+  // never for helpers to check in: a helper that wakes late finds
+  // nothing left to claim. Claims are CASes on a word that carries the
+  // generation, so a helper holding round g's word can never claim in,
+  // or read the state of, round g+1 — only the word it claimed through
+  // tells it which round's `active`, horizon and budget it may read. A
+  // shard that throws (say, an unsafe post()) parks the exception; the
+  // coordinator stops after that round and rethrows it once the pool
+  // has joined.
   std::vector<Simulator*> active;
   std::uint64_t budget = 0;
+  std::mutex failure_mutex;  // guards `failure` only
   std::exception_ptr failure;
-  std::atomic<std::size_t> cursor{0};
+  struct alignas(kLine) {
+    std::atomic<std::uint64_t> word{0};
+  } claim;
+  struct alignas(kLine) {
+    std::atomic<std::uint32_t> shards{0};
+  } finished;
 
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      std::uint64_t seen = 0;
-      for (;;) {
-        {
-          std::unique_lock lk(mutex);
-          work_cv.wait(lk, [&] { return stop || generation != seen; });
-          if (stop) return;
-          seen = generation;
-        }
-        for (std::size_t i; (i = cursor.fetch_add(1)) < active.size();) {
-          try {
-            active[i]->run_until(horizon_, budget);
-          } catch (...) {
-            const std::lock_guard lk(mutex);
-            if (!failure) failure = std::current_exception();
-          }
-        }
-        const std::lock_guard lk(mutex);
-        if (++finished == workers) done_cv.notify_one();
+  const auto run_claimed = [&](std::uint64_t w) {
+    try {
+      active[next_of(w)]->run_until(horizon_, budget);
+    } catch (...) {
+      const std::lock_guard lk(failure_mutex);
+      if (!failure) failure = std::current_exception();
+    }
+    if (finished.shards.fetch_add(1, std::memory_order_release) + 1 ==
+        count_of(w))
+      finished.shards.notify_one();
+  };
+  // Claims and runs shards until the published round has none left;
+  // returns the last word seen.
+  const auto claim_all = [&](std::uint64_t w) {
+    while (next_of(w) < count_of(w)) {
+      if (claim.word.compare_exchange_weak(w, w + 1,
+                                           std::memory_order_acquire)) {
+        run_claimed(w);
+        w = claim.word.load(std::memory_order_acquire);
       }
-    });
-  }
+    }
+    return w;
+  };
 
+  std::vector<std::thread> helpers;
   const std::uint64_t start = events_processed();
-  for (;;) {
-    drain_mailboxes();
-    TimePoint t_min = Simulator::kNoEvent;
-    for (const auto& s : shards_)
-      t_min = std::min(t_min, s->next_event_time());
-    if (t_min == Simulator::kNoEvent) break;
-    horizon_ = window_end(t_min, lookahead);
-    active.clear();
-    for (const auto& s : shards_)
-      if (s->next_event_time() <= horizon_) active.push_back(s.get());
-    cursor.store(0);
-    {
-      const std::uint64_t done = events_processed() - start;
-      budget = done > max_events ? 1 : max_events - done + 1;
+  try {
+    helpers.reserve(workers - 1);
+    for (std::size_t h = 1; h < workers; ++h) {
+      helpers.emplace_back([&] {
+        std::uint64_t seen = 0;
+        for (;;) {
+          const std::uint64_t w = await(claim.word, [seen](std::uint64_t v) {
+            return (v & kStop) || generation_of(v) != seen;
+          });
+          if (w & kStop) return;
+          seen = generation_of(claim_all(w));
+        }
+      });
     }
-    ++rounds_;
-    {
-      std::unique_lock lk(mutex);
-      finished = 0;
-      ++generation;
-      work_cv.notify_all();
-      done_cv.wait(lk, [&] { return finished == workers; });
+
+    std::uint64_t generation = 0;
+    for (;;) {
+      drain_mailboxes();
+      TimePoint t_min = Simulator::kNoEvent;
+      for (const auto& s : shards_)
+        t_min = std::min(t_min, s->next_event_time());
+      if (t_min == Simulator::kNoEvent) break;
+      horizon_ = window_end(t_min, lookahead);
+      active.clear();
+      for (const auto& s : shards_)
+        if (s->next_event_time() <= horizon_) active.push_back(s.get());
+      {
+        const std::uint64_t done = events_processed() - start;
+        budget = done > max_events ? 1 : max_events - done + 1;
+      }
+      ++rounds_;
+      finished.shards.store(0, std::memory_order_relaxed);
+      generation = (generation + 1) & kGenerationMask;
+      const std::uint64_t w = (generation << 32) | (active.size() << 16);
+      claim.word.store(w, std::memory_order_release);
+      // A lone shard is the coordinator's own; parked helpers sleep on.
+      if (active.size() > 1) claim.word.notify_all();
+      claim_all(w);
+      await(finished.shards,
+            [n = active.size()](std::uint32_t v) { return v == n; });
+      // Every shard's writes, `failure` included, happen before the
+      // acquire load that saw the last increment.
+      if (failure || events_processed() - start > max_events) break;
     }
-    if (failure || events_processed() - start > max_events)
-      break;  // joined below
+  } catch (...) {
+    // A drain that finds an arrival inside executed history, or a pool
+    // that cannot start: still join whatever helpers exist.
+    const std::lock_guard lk(failure_mutex);
+    if (!failure) failure = std::current_exception();
   }
-  {
-    std::unique_lock lk(mutex);
-    stop = true;
-    work_cv.notify_all();
-  }
-  for (std::thread& t : pool) t.join();
+  claim.word.store(kStop, std::memory_order_release);
+  claim.word.notify_all();
+  for (std::thread& t : helpers) t.join();
   if (failure) std::rethrow_exception(failure);
   if (events_processed() - start > max_events)
     throw std::runtime_error("sharded simulator event cap (livelock?)");

@@ -44,13 +44,19 @@
 // means an earlier window coasted the idle clock past it: the clock
 // rolls back and a revalidation counter records it.
 //
-// Within a round each shard is claimed by exactly one worker, so every
-// Simulator stays single-threaded; the round barrier (mutex + condvar)
-// provides the cross-round happens-before edge when a shard migrates
-// between workers (mailbox rows are written only by their source shard's
-// worker and read only by the coordinator after the barrier). An
-// exception thrown on a worker is carried to the coordinator and
-// rethrown from run_all().
+// The calling thread coordinates and works: it publishes each round in
+// one atomic claim word (generation, active count, next index), then
+// claims shards by CAS on that word alongside threads-1 helpers. Within
+// a round each shard is claimed by exactly one thread, so every
+// Simulator stays single-threaded. The round ends when the count of
+// finished shards reaches the active count; those release increments
+// and the coordinator's release publish are the happens-before edges
+// when a shard migrates between threads (mailbox rows are written only
+// by their source shard's thread and read only by the coordinator
+// between rounds). Waiting threads yield a bounded number of times,
+// then park with std::atomic::wait — no mutex or condvar on the round
+// path. An exception thrown on any thread is carried to the coordinator
+// and rethrown from run_all() once the helpers have joined.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +75,10 @@ class ShardedSimulator {
   /// Lookahead for a run with no cross-shard traffic: one window covers
   /// everything, and any post() during the run throws.
   static constexpr Duration kUnbounded = std::numeric_limits<Duration>::max();
+  /// Shard indices share 16-bit fields of run_parallel's claim word.
+  static constexpr std::size_t kMaxShards = 0xffff;
 
-  /// Create `shards` independent simulators (>= 1).
+  /// Create `shards` independent simulators (1..kMaxShards).
   explicit ShardedSimulator(std::size_t shards);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -117,7 +125,8 @@ class ShardedSimulator {
   /// next-event time; it must be *strictly below* the minimum latency of
   /// every post() (the cross channel's min_latency() - 1; >= 0), or
   /// kUnbounded when nothing is posted. Local events do not bound it.
-  /// `threads` caps the worker pool; <= 1 or a single shard runs the
+  /// `threads` caps the threads that run shards, the caller included
+  /// (threads-1 helpers are started); <= 1 or a single shard runs the
   /// serial path — identical window/drain arithmetic, each shard
   /// advanced in shard-index order on the calling thread, the
   /// bit-identical oracle for any parallel configuration. Throws if more

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/many_locks_cluster.hpp"
@@ -155,6 +158,120 @@ TEST(ShardedSimulator, CrossPostInsideTheHorizonThrows) {
   EXPECT_THROW(run(1, 1), std::runtime_error);
 }
 
+TEST(ShardedSimulator, CrossPostInsideTheHorizonThrowsOnEveryThread) {
+  // The same unsafe post with three shards on three threads. Every shard
+  // has an event at t=50 that waits until all three have started, so
+  // each thread (the caller and two helpers) runs exactly one shard.
+  // The post comes from shard 1, from shard 2, from whichever shard the
+  // caller runs, or from one helper's shard; run_all() must rethrow it
+  // every time and join its helpers instead of hanging.
+  enum class Thrower { kShard1, kShard2, kCaller, kHelper };
+  const auto run = [](Thrower who) {
+    sim::ShardedSimulator sharded(3);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> started{0};
+    std::atomic<bool> helper_threw{false};
+    std::atomic<int> threw_on_caller{-1};
+    for (std::size_t s = 0; s < 3; ++s) {
+      sharded.shard(s).schedule_at(50, [&, s] {
+        started.fetch_add(1);
+        for (int i = 0; started.load() < 3 && i < 1'000'000; ++i)
+          std::this_thread::yield();
+        const bool on_caller = std::this_thread::get_id() == caller;
+        bool throws = false;
+        switch (who) {
+          case Thrower::kShard1: throws = s == 1; break;
+          case Thrower::kShard2: throws = s == 2; break;
+          case Thrower::kCaller: throws = on_caller; break;
+          case Thrower::kHelper:
+            throws = !on_caller && !helper_threw.exchange(true);
+            break;
+        }
+        if (!throws) return;
+        threw_on_caller = on_caller ? 1 : 0;
+        sharded.post(s, (s + 1) % 3, 60, /*key=*/1, [] {});
+      });
+    }
+    EXPECT_THROW(sharded.run_all(/*lookahead=*/100, /*threads=*/3),
+                 std::runtime_error);
+    EXPECT_EQ(started.load(), 3);
+    return threw_on_caller.load();
+  };
+  EXPECT_NE(run(Thrower::kShard1), -1);
+  EXPECT_NE(run(Thrower::kShard2), -1);
+  EXPECT_EQ(run(Thrower::kCaller), 1);
+  EXPECT_EQ(run(Thrower::kHelper), 0);
+}
+
+namespace {
+
+/// Per shard, the (time, tag) of every event it ran, in order. Tags:
+/// a ball hop logs hop >= 0, a wave -1 - hop, an echo kEcho - hop.
+using ShardLogs = std::vector<std::vector<std::pair<TimePoint, int>>>;
+constexpr int kHops = 6000;
+constexpr int kEcho = -100'000;
+
+/// One ball bounces between 5 shards with a 10-tick hop against a
+/// lookahead of 9, so most rounds run a single active shard. Every 16th
+/// hop also posts a wave to all 5 shards, which lands with the next hop
+/// (a round with every shard active) and echoes to a neighbour. Each
+/// shard logs what it ran.
+ShardLogs ping_pong(std::size_t threads, std::uint64_t* rounds) {
+  constexpr std::size_t kShards = 5;
+  constexpr Duration kHop = 10;
+  sim::ShardedSimulator sharded(kShards);
+  ShardLogs logs(kShards);
+  std::vector<std::uint64_t> seq(kShards, 0);
+  const auto send = [&](std::size_t src, std::size_t dst, TimePoint t,
+                        sim::Simulator::EventFn fn) {
+    const std::uint64_t key = (std::uint64_t{src} + 1) << 32 | ++seq[src];
+    sharded.post(src, dst, t, key, std::move(fn));
+  };
+  std::function<void(std::size_t, int)> ball = [&](std::size_t s, int hop) {
+    const TimePoint now = sharded.shard(s).now();
+    logs[s].emplace_back(now, hop);
+    if (hop == kHops) return;
+    const std::size_t next = (s + 1 + hop % 4) % kShards;
+    send(s, next, now + kHop, [&ball, next, hop] { ball(next, hop + 1); });
+    if (hop % 16 != 0) return;
+    for (std::size_t d = 0; d < kShards; ++d) {
+      send(s, d, now + kHop, [&, d, hop] {
+        const TimePoint t = sharded.shard(d).now();
+        logs[d].emplace_back(t, -hop - 1);
+        const std::size_t to = (d + 1) % kShards;
+        send(d, to, t + kHop + 1 + static_cast<Duration>(d),
+             [&, to, hop] {
+               logs[to].emplace_back(sharded.shard(to).now(), kEcho - hop);
+             });
+      });
+    }
+  };
+  sharded.shard(0).schedule_at(0, [&] { ball(0, 0); });
+  sharded.run_all(/*lookahead=*/kHop - 1, threads);
+  *rounds = sharded.rounds();
+  return logs;
+}
+
+}  // namespace
+
+TEST(ShardedSimulator, ShortRoundsMatchSerialAtEveryThreadCount) {
+  // Thousands of rounds of a few events each, with 1 or all 5 shards
+  // active, at thread counts where one thread claims several shards of
+  // a round: each shard must run exactly what the serial path ran.
+  std::uint64_t serial_rounds = 0;
+  const ShardLogs serial = ping_pong(1, &serial_rounds);
+  ASSERT_GE(serial_rounds, 5000u);
+  std::size_t waves = 0;
+  for (const auto& log : serial)
+    for (const auto& [t, tag] : log) waves += tag < 0 && tag > kEcho;
+  EXPECT_EQ(waves, 5u * ((kHops - 1) / 16 + 1));
+  for (const std::size_t threads : {2, 3, 5}) {
+    std::uint64_t rounds = 0;
+    EXPECT_EQ(ping_pong(threads, &rounds), serial) << threads << " threads";
+    EXPECT_EQ(rounds, serial_rounds) << threads << " threads";
+  }
+}
+
 TEST(ShardedSimulator, UnboundedLookaheadDoesNotOverflow) {
   // T + kUnbounded must saturate, not wrap (UBSan traps signed
   // overflow). One window then covers every event, however late, while
@@ -182,14 +299,17 @@ TEST(ShardedSimulator, UnboundedLookaheadDoesNotOverflow) {
 TEST(ShardedSimulator, ArrivalInsideExecutedHorizonThrows) {
   // post() refuses arrivals inside a running window; a post made between
   // runs is checked by the drain instead. Shard 1 has executed t=100, so
-  // an arrival at t=60 contradicts its history and must abort the run.
-  sim::ShardedSimulator sharded(2);
-  sharded.shard(1).schedule_at(0, [] {});
-  sharded.shard(1).schedule_at(100, [] {});
-  sharded.run_all(/*lookahead=*/100, /*threads=*/1);
-  sharded.post(0, 1, 60, /*key=*/1, [] {});
-  EXPECT_THROW(sharded.run_all(/*lookahead=*/100, /*threads=*/1),
-               std::runtime_error);
+  // an arrival at t=60 contradicts its history and must abort the run —
+  // on the parallel path too, after joining its helpers.
+  for (const std::size_t threads : {1, 2}) {
+    sim::ShardedSimulator sharded(2);
+    sharded.shard(1).schedule_at(0, [] {});
+    sharded.shard(1).schedule_at(100, [] {});
+    sharded.run_all(/*lookahead=*/100, threads);
+    sharded.post(0, 1, 60, /*key=*/1, [] {});
+    EXPECT_THROW(sharded.run_all(/*lookahead=*/100, threads),
+                 std::runtime_error);
+  }
 }
 
 TEST(ShardedSimulator, IdleOvershootRevalidatesTheWindow) {
