@@ -37,9 +37,20 @@ void add_wait_edges(lockmgr::WaitForGraph& graph,
       if (engine->has_pending()) {
         waiters.emplace_back(engine->self(), engine->pending_request_mode());
       }
-      for (const QueuedRequest& q : engine->queue()) {
-        if (q.requester != engine->self()) {
-          waiters.emplace_back(q.requester, q.mode);
+      const auto& queue = engine->queue();
+      for (std::size_t j = 0; j < queue.size(); ++j) {
+        if (queue[j].requester != engine->self()) {
+          waiters.emplace_back(queue[j].requester, queue[j].mode);
+        }
+        // A queue is served in order, and Rule 6 freezes every mode that
+        // conflicts with a queued request, so a request also waits for
+        // each conflicting request ahead of it in the same queue — even
+        // when every current holder is compatible with it.
+        for (std::size_t i = 0; i < j; ++i) {
+          if (queue[i].requester != queue[j].requester &&
+              !compatible(queue[i].mode, queue[j].mode))
+            graph.add_edge(rename(queue[j].requester),
+                           rename(queue[i].requester));
         }
       }
     }

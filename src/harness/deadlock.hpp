@@ -5,9 +5,13 @@
 //
 // A node WAITS if it has a pending request on some lock, or a request of
 // its sits queued anywhere; it waits FOR every node currently holding an
-// incompatible mode on that lock. A cycle in this graph is a genuine
-// application deadlock (the protocol serves each single lock FIFO, so
-// only cross-lock hold-and-wait can close a cycle).
+// incompatible mode on that lock, and for every node whose incompatible
+// request sits ahead of its own in the same queue (queues are served in
+// order and Rule 6 freezes the modes a queued request conflicts with, so
+// a request can be stuck behind a waiter while every holder is
+// compatible with it). A cycle in this graph is a genuine application
+// deadlock (the protocol serves each single lock FIFO, so only
+// cross-lock hold-and-wait can close a cycle).
 //
 // The forest harness spans MANY disjoint lock trees, each with its own
 // 0-based node-id space: add_wait_edges() therefore takes a rename
@@ -29,7 +33,8 @@ namespace hlock::harness {
 
 /// Scan the *materialized* engines of `nodes` (one lock service: every
 /// node of one tree or one classic cluster) and add a waiter -> holder
-/// edge for every incompatible (pending-or-queued, held) pair, with both
+/// edge for every incompatible (pending-or-queued, held) pair and a
+/// later -> earlier edge for every incompatible pair in one queue, with both
 /// endpoints passed through `rename` (identity for a single cluster,
 /// tree-global ids for a forest).
 void add_wait_edges(lockmgr::WaitForGraph& graph,

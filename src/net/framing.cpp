@@ -8,9 +8,8 @@ std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq,
                                 std::uint64_t ack) {
   // encoded_size() is exact, so prefix, sequence number, ack slot, and
   // payload go into one buffer with a single allocation (ByteWriter::u32
-  // is little-endian, matching the prefix FrameDecoder expects). Every
-  // frame is emitted in the v2 layout: the ack slot is always present so
-  // TcpNode can stamp a cumulative ack into a queued frame in place
+  // is little-endian, matching the prefix FrameDecoder expects). The ack
+  // slot lets TcpNode stamp a cumulative ack into a queued frame in place
   // (kAckFieldOffset) without re-encoding.
   const std::size_t payload = encoded_size(m);
   ByteWriter w;
@@ -24,13 +23,6 @@ std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq,
 
 std::vector<std::uint8_t> hello_frame(NodeId self, std::uint64_t epoch) {
   ByteWriter w;
-  if (epoch == 0) {  // legacy body, for peers (and tests) without epochs
-    w.reserve(4 + 1 + 4);
-    w.u32(kControlFrameBit | 5u);
-    w.u8(static_cast<std::uint8_t>(ControlOp::kHello));
-    w.u32(self.value);
-    return w.take();
-  }
   w.reserve(4 + 1 + 4 + 8);
   w.u32(kControlFrameBit | 13u);
   w.u8(static_cast<std::uint8_t>(ControlOp::kHello));
@@ -113,9 +105,8 @@ bool FrameDecoder::next_frame(DecodedFrame& out) {
     throw DecodeError("oversized frame");
   }
   if (buffered() < 4 + static_cast<std::size_t>(len)) return false;
-  // `out` may be reused across next_frame calls; clear the optional
-  // fields so a v1 frame cannot inherit a previous frame's values.
-  out.has_ack = false;
+  // `out` may be reused across next_frame calls; clear the per-kind
+  // fields so a frame cannot inherit a previous frame's values.
   out.ack_seq = 0;
   out.hello_epoch = 0;
   out.view_phase = 0;
@@ -127,9 +118,8 @@ bool FrameDecoder::next_frame(DecodedFrame& out) {
     switch (static_cast<ControlOp>(op)) {
       case ControlOp::kHello:
         out.hello_node = NodeId{r.u32()};
-        // v2 hellos append the sender's boot epoch; legacy hellos end
-        // after the node id and decode with epoch 0 ("unknown").
-        if (!r.done()) out.hello_epoch = r.u64();
+        out.hello_epoch = r.u64();
+        if (out.hello_epoch == 0) throw DecodeError("hello without epoch");
         break;
       case ControlOp::kPing:
         break;
@@ -164,16 +154,14 @@ bool FrameDecoder::next_frame(DecodedFrame& out) {
     out.control = true;
     out.op = static_cast<ControlOp>(op);
   } else {
-    const bool has_ack = (prefix & kAckFlagBit) != 0;
-    const std::uint32_t header = has_ack ? 16 : 8;
-    if (len < header) throw DecodeError("data frame too short for header");
-    ByteReader r(p + 4, header);
+    if ((prefix & kAckFlagBit) == 0)
+      throw DecodeError("data frame without ack slot");
+    constexpr std::uint32_t kHeader = 16;
+    if (len < kHeader) throw DecodeError("data frame too short for header");
+    ByteReader r(p + 4, kHeader);
     out.seq = r.u64();
-    if (has_ack) {
-      out.ack_seq = r.u64();
-      out.has_ack = true;
-    }
-    out.msg = decode(p + 4 + header, len - header);
+    out.ack_seq = r.u64();
+    out.msg = decode(p + 4 + kHeader, len - kHeader);
     out.control = false;
   }
   pos_ += 4 + len;

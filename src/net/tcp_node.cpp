@@ -26,6 +26,14 @@ namespace {
 
 constexpr auto kRelax = std::memory_order_relaxed;
 
+/// A writev() batch stops gathering frames once it holds this many bytes
+/// (or kMaxBatchFrames iovecs, whichever comes first).
+constexpr std::size_t kMaxBatchBytes = 256 * 1024;
+
+/// How long an owed cumulative ack waits for a data frame to ride in
+/// before it is sent as a standalone kAck frame.
+constexpr Duration kAckPiggybackWait = msec(1);
+
 void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
 }
@@ -47,8 +55,8 @@ void bump_max(std::atomic<std::uint64_t>& hw, std::uint64_t v) {
 }
 
 /// Boot epoch for this process: wall-clock nanoseconds mixed with
-/// hardware entropy, forced nonzero (0 on the wire means "legacy peer,
-/// no epoch"). Two incarnations of the same node id colliding would need
+/// hardware entropy, forced nonzero (the decoder rejects a hello with
+/// epoch 0). Two incarnations of the same node id colliding would need
 /// both the clock and random_device to repeat.
 std::uint64_t generate_epoch() {
   auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -431,11 +439,6 @@ bool TcpNode::send(NodeId to, Message m) {
 }
 
 void TcpNode::request_flush(Connection& c) {
-  if (cfg_.max_batch_bytes == 0) {
-    // Coalescing disabled: write-per-send, the historical behaviour.
-    flush(c);
-    return;
-  }
   // Defer one loop turn so every frame queued in this drain batch — all
   // sends posted since the last poll, including a whole read burst's
   // worth of engine replies — leaves in one vectored write. Posted tasks
@@ -462,10 +465,9 @@ TcpNode::Connection* TcpNode::established_conn(NodeId peer) {
 
 void TcpNode::queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
                           bool control) {
-  if (!control && cfg_.ack_piggyback_window > 0 && c.ack_due &&
-      c.peer.valid()) {
+  if (!control && c.ack_due && c.peer.valid()) {
     // An ack is owed to this peer and a data frame is about to join the
-    // queue: stamp the cumulative ack into its v2 ack slot instead of
+    // queue: stamp the cumulative ack into its ack slot instead of
     // spending a standalone kAck frame. (Only the queued copy is stamped;
     // the send-window original keeps ack 0, which decodes as "no info".)
     const std::uint64_t ack = recv_seq_[c.peer];
@@ -496,28 +498,22 @@ bool TcpNode::try_stamp_queued_ack(Connection& c) {
   return false;
 }
 
-void TcpNode::queue_standalone_ack(Connection& c) {
-  c.ack_due = false;
-  cancel_ack_timer(c);
-  stats_.acks_standalone.fetch_add(1, kRelax);
-  queue_frame(c, ack_frame(recv_seq_[c.peer]), /*control=*/true);
-}
-
 void TcpNode::arm_ack_timer(Connection& c) {
   if (c.ack_timer_pending) return;
   const int fd = c.fd;
   c.ack_timer_pending = true;
-  c.ack_timer_id =
-      loop_.schedule_cancellable(cfg_.ack_piggyback_window, [this, fd] {
-        // close_conn cancels this timer, so `fd` cannot have been reused.
-        const auto it = conns_.find(fd);
-        if (it == conns_.end()) return;
-        Connection& c2 = *it->second;
-        c2.ack_timer_pending = false;
-        if (!c2.ack_due) return;  // a data frame carried it in the meantime
-        queue_standalone_ack(c2);
-        flush(c2);
-      });
+  c.ack_timer_id = loop_.schedule_cancellable(kAckPiggybackWait, [this, fd] {
+    // close_conn cancels this timer, so `fd` cannot have been reused.
+    const auto it = conns_.find(fd);
+    if (it == conns_.end()) return;
+    Connection& c2 = *it->second;
+    c2.ack_timer_pending = false;
+    if (!c2.ack_due) return;  // a data frame carried it in the meantime
+    c2.ack_due = false;
+    stats_.acks_standalone.fetch_add(1, kRelax);
+    queue_frame(c2, ack_frame(recv_seq_[c2.peer]), /*control=*/true);
+    flush(c2);
+  });
 }
 
 void TcpNode::cancel_ack_timer(Connection& c) {
@@ -530,9 +526,8 @@ void TcpNode::flush(Connection& c) {
   if (c.connecting) return;
   while (!c.frames.empty()) {
     // Gather the head of the queue into one vectored write: up to
-    // kMaxBatchFrames iovecs or max_batch_bytes, whichever comes first
-    // (max_batch_bytes == 0 pins every batch to a single frame — the
-    // measurement baseline). sendmsg is writev plus MSG_NOSIGNAL.
+    // kMaxBatchFrames iovecs or kMaxBatchBytes, whichever comes first.
+    // sendmsg is writev plus MSG_NOSIGNAL.
     struct iovec iov[kMaxBatchFrames];
     int iovcnt = 0;
     std::size_t batch_bytes = 0;
@@ -544,8 +539,7 @@ void TcpNode::flush(Connection& c) {
       iov[iovcnt].iov_len = f.bytes.size() - off;
       batch_bytes += iov[iovcnt].iov_len;
       ++iovcnt;
-      if (cfg_.max_batch_bytes == 0 || batch_bytes >= cfg_.max_batch_bytes)
-        break;
+      if (batch_bytes >= kMaxBatchBytes) break;
     }
     msghdr mh{};
     mh.msg_iov = iov;
@@ -640,24 +634,18 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
       return;
     }
     if (c.ack_due && !dead && !hangup) {
-      // One cumulative ack per read burst, not per frame. With
-      // piggybacking on, prefer riding a queued-unsent data frame; failing
-      // that, give a data frame ack_piggyback_window to show up before
-      // falling back to a standalone kAck.
-      if (cfg_.ack_piggyback_window > 0) {
-        if (try_stamp_queued_ack(c)) {
-          c.ack_due = false;
-          cancel_ack_timer(c);
-          stats_.acks_piggybacked.fetch_add(1, kRelax);
-          flush(c);
-          if (conns_.find(fd) == conns_.end()) return;
-        } else {
-          arm_ack_timer(c);
-        }
-      } else {
-        queue_standalone_ack(c);
+      // One cumulative ack per read burst, not per frame: ride a
+      // queued-unsent data frame if there is one, else give a data frame
+      // kAckPiggybackWait to show up before falling back to a standalone
+      // kAck.
+      if (try_stamp_queued_ack(c)) {
+        c.ack_due = false;
+        cancel_ack_timer(c);
+        stats_.acks_piggybacked.fetch_add(1, kRelax);
         flush(c);
         if (conns_.find(fd) == conns_.end()) return;
+      } else {
+        arm_ack_timer(c);
       }
     }
   }
@@ -700,21 +688,19 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
         }
         const bool inbound_first = !c.peer.valid();
         if (inbound_first) c.peer = f.hello_node;
-        if (f.hello_epoch != 0) {
-          // A hello always precedes data on its connection (TCP stream
-          // order), so resetting the dedup state here is race-free: no
-          // frame from the new incarnation can have been delivered yet.
-          auto& known = peer_epoch_[c.peer];
-          if (known != 0 && known != f.hello_epoch) {
-            stats_.peer_restarts.fetch_add(1, kRelax);
-            recv_seq_[c.peer] = 0;
-            HLOCK_LOG(kInfo, "node " << self_ << ": peer " << c.peer
-                                     << " restarted (epoch " << known
-                                     << " -> " << f.hello_epoch
-                                     << "); sequence state reset");
-          }
-          known = f.hello_epoch;
+        // A hello always precedes data on its connection (TCP stream
+        // order), so resetting the dedup state here is race-free: no
+        // frame from the new incarnation can have been delivered yet.
+        auto& known = peer_epoch_[c.peer];
+        if (known != 0 && known != f.hello_epoch) {
+          stats_.peer_restarts.fetch_add(1, kRelax);
+          recv_seq_[c.peer] = 0;
+          HLOCK_LOG(kInfo, "node " << self_ << ": peer " << c.peer
+                                   << " restarted (epoch " << known << " -> "
+                                   << f.hello_epoch
+                                   << "); sequence state reset");
         }
+        known = f.hello_epoch;
         if (!c.greeted) {
           c.greeted = true;
           // Only a completed handshake proves the link works end to end:
@@ -755,7 +741,7 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
     close_conn(c.fd);
     return;
   }
-  if (f.has_ack && f.ack_seq > 0) {
+  if (f.ack_seq > 0) {
     // Piggybacked cumulative ack: trim our send window exactly as a
     // standalone kAck would, before dedup/delivery of the frame itself.
     process_ack(c.peer, f.ack_seq);

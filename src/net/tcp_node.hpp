@@ -29,15 +29,15 @@
 //    been silent past idle_timeout (half-open detection). The same
 //    deadline bounds a stuck non-blocking connect().
 //
-// Throughput (the batching/pipelining layer):
-//  - Queued frames for a peer are gathered into a single writev() — iovec
-//    batching up to max_batch_bytes per syscall, partial writes carried
-//    over. flush() keeps writing until the outbox drains or the kernel
-//    says EAGAIN, so a short write never costs an extra poll round trip.
-//  - Under bidirectional load, cumulative acks ride inside queued data
-//    frames (piggybacking) instead of spending a standalone kAck frame;
-//    a small timer (ack_piggyback_window) bounds how long an ack may wait
-//    for a data frame to carry it.
+// Throughput (one write policy, no knobs):
+//  - Frames queued for a peer during one loop turn leave in a deferred
+//    flush that gathers them into a single writev() — up to 64 frames or
+//    256 KiB per syscall, partial writes carried over. flush() keeps
+//    writing until the outbox drains or the kernel says EAGAIN, so a
+//    short write never costs an extra poll round trip.
+//  - A cumulative ack owed after a read burst rides inside a queued data
+//    frame (piggybacking); a 1 ms timer bounds how long it may wait for
+//    one before it is sent as a standalone kAck frame.
 #pragma once
 
 #include <cstdint>
@@ -83,16 +83,6 @@ struct TcpConfig {
   /// facade cannot retry (engines are callback-driven), so there a
   /// rejected send is dropped and counted in stats().sends_rejected.
   std::size_t send_window_limit{0};
-  /// Gather queued frames into one writev() until the batch reaches this
-  /// many bytes (or kMaxBatchFrames iovecs). 0 disables coalescing: every
-  /// writev carries exactly one frame (the measurement baseline).
-  std::size_t max_batch_bytes{256 * 1024};
-  /// Ack piggybacking: instead of answering every read burst with a
-  /// standalone kAck control frame, stamp the cumulative ack into a
-  /// queued-but-unsent data frame to the same peer, or wait up to this
-  /// long for one to be queued before falling back to a standalone ack.
-  /// 0 disables piggybacking (every ack is a standalone frame).
-  Duration ack_piggyback_window{0};
   /// Failure detection: suspect a peer after this long without hearing
   /// any byte from it (counting from set_peers for peers never heard at
   /// all). Checked on the heartbeat tick, so effective precision is the
@@ -312,7 +302,6 @@ class TcpNode {
   void request_flush(Connection& c);
   void handle_frame(Connection& c, const DecodedFrame& f);
   void process_ack(NodeId peer, std::uint64_t ack_seq);
-  void queue_standalone_ack(Connection& c);
   bool try_stamp_queued_ack(Connection& c);
   void arm_ack_timer(Connection& c);
   void cancel_ack_timer(Connection& c);
@@ -339,7 +328,7 @@ class TcpNode {
   /// survives connection churn by construction, reset when the peer's
   /// hello announces a new epoch).
   std::map<NodeId, std::uint64_t> recv_seq_;
-  /// Last boot epoch each peer announced (0 = legacy peer, unknown).
+  /// Last boot epoch each peer announced (0 = not heard yet).
   std::map<NodeId, std::uint64_t> peer_epoch_;
   /// Total frames across send_ windows (loop thread writes, any thread
   /// reads via unacked()).

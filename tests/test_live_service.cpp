@@ -1,8 +1,8 @@
 // Tests for the batched/pipelined transport layer and the client session
-// multiplexer: wire-format v2 (piggybacked acks, hello epochs) including
-// backward compatibility with v1 streams, frame coalescing counters,
-// piggybacked-ack equivalence with the standalone-ack baseline, restart
-// detection via hello epochs, and SessionMux traffic over live sockets.
+// multiplexer: the wire format (piggybacked acks, hello epochs) and its
+// rejection of frames without them, frame coalescing counters, acks
+// riding data frames, restart detection via hello epochs, and SessionMux
+// traffic over live sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -36,7 +37,6 @@ TcpConfig fast_cfg() {
   c.reconnect_max = msec(100);
   c.heartbeat_interval = msec(50);
   c.idle_timeout = msec(400);
-  c.max_batch_bytes = 0;  // tests opt in to coalescing explicitly
   return c;
 }
 
@@ -132,7 +132,7 @@ struct DeliveryLog {
   }
 };
 
-// --- wire format v2: the piggybacked ack field --------------------------
+// --- wire format: the piggybacked ack field ------------------------------
 
 TEST(LiveService, FrameCarriesSeqAndPiggybackedAck) {
   const Message m = sample_message(9);
@@ -143,7 +143,6 @@ TEST(LiveService, FrameCarriesSeqAndPiggybackedAck) {
   ASSERT_TRUE(d.next_frame(f));
   EXPECT_FALSE(f.control);
   EXPECT_EQ(f.seq, 17u);
-  EXPECT_TRUE(f.has_ack);
   EXPECT_EQ(f.ack_seq, 12u);
   EXPECT_EQ(f.msg.lock, LockId{9});
   EXPECT_FALSE(d.next_frame(f));
@@ -155,7 +154,6 @@ TEST(LiveService, AckZeroMeansNoInformation) {
   d.feed(bytes.data(), bytes.size());
   DecodedFrame f;
   ASSERT_TRUE(d.next_frame(f));
-  EXPECT_TRUE(f.has_ack);
   EXPECT_EQ(f.ack_seq, 0u) << "ack 0 must survive as 'no info', not garbage";
 }
 
@@ -175,40 +173,27 @@ TEST(LiveService, AckFieldIsStampableInPlace) {
   EXPECT_EQ(f.msg.lock, LockId{2}) << "stamping must not corrupt the payload";
 }
 
-TEST(LiveService, LegacyV1DataFrameStillDecodes) {
-  // Build a v1 frame by hand from a v2 one: drop the 8-byte ack field and
-  // rewrite the prefix without kAckFlagBit. Old-build peers emit exactly
-  // this layout.
-  const auto v2 = frame(sample_message(5), /*seq=*/4);
-  std::vector<std::uint8_t> v1;
-  v1.reserve(v2.size());
-  const std::uint32_t v2_prefix = static_cast<std::uint32_t>(v2[0]) |
-                                  (static_cast<std::uint32_t>(v2[1]) << 8) |
-                                  (static_cast<std::uint32_t>(v2[2]) << 16) |
-                                  (static_cast<std::uint32_t>(v2[3]) << 24);
-  ASSERT_NE(v2_prefix & kAckFlagBit, 0u) << "encoder should emit v2";
-  const std::uint32_t v1_len = (v2_prefix & kLengthMask) - 8;
-  for (int i = 0; i < 4; ++i)
-    v1.push_back(static_cast<std::uint8_t>(v1_len >> (8 * i)));
-  v1.insert(v1.end(), v2.begin() + 4, v2.begin() + 12);     // seq
-  v1.insert(v1.end(), v2.begin() + 20, v2.end());           // message
+TEST(LiveService, DataFrameWithoutAckFlagIsRejected) {
+  // The pre-ack layout: [u32 len, kAckFlagBit clear][u64 seq][Message].
+  // One data-frame layout is accepted; this one is a malformed stream.
+  std::vector<std::uint8_t> no_ack = frame(sample_message(5), /*seq=*/4);
+  no_ack.erase(no_ack.begin() + kAckFieldOffset,
+               no_ack.begin() + kAckFieldOffset + 8);
+  const std::uint32_t len = static_cast<std::uint32_t>(no_ack.size()) - 4;
+  for (std::size_t i = 0; i < 4; ++i)
+    no_ack[i] = static_cast<std::uint8_t>(len >> (8 * i));
   FrameDecoder d;
-  d.feed(v1.data(), v1.size());
+  d.feed(no_ack.data(), no_ack.size());
   DecodedFrame f;
-  ASSERT_TRUE(d.next_frame(f));
-  EXPECT_FALSE(f.control);
-  EXPECT_EQ(f.seq, 4u);
-  EXPECT_FALSE(f.has_ack) << "v1 frames carry no ack information";
-  EXPECT_EQ(f.ack_seq, 0u);
-  EXPECT_EQ(f.msg.lock, LockId{5});
+  EXPECT_THROW(d.next_frame(f), DecodeError);
 }
 
-// --- wire format v2: the hello epoch ------------------------------------
+// --- wire format: the hello epoch ---------------------------------------
 
-TEST(LiveService, HelloCarriesEpochAndLegacyHelloDecodesAsZero) {
-  const auto v2 = hello_frame(NodeId{3}, 0xdeadbeefULL);
+TEST(LiveService, HelloCarriesEpochAndEpochlessHelloIsRejected) {
+  const auto hello = hello_frame(NodeId{3}, 0xdeadbeefULL);
   FrameDecoder d;
-  d.feed(v2.data(), v2.size());
+  d.feed(hello.data(), hello.size());
   DecodedFrame f;
   ASSERT_TRUE(d.next_frame(f));
   ASSERT_TRUE(f.control);
@@ -216,13 +201,18 @@ TEST(LiveService, HelloCarriesEpochAndLegacyHelloDecodesAsZero) {
   EXPECT_EQ(f.hello_node, NodeId{3});
   EXPECT_EQ(f.hello_epoch, 0xdeadbeefULL);
 
-  // epoch 0 emits the legacy short body; it must decode as epoch 0.
-  const auto legacy = hello_frame(NodeId{4});
-  EXPECT_LT(legacy.size(), v2.size());
-  d.feed(legacy.data(), legacy.size());
-  ASSERT_TRUE(d.next_frame(f));
-  EXPECT_EQ(f.hello_node, NodeId{4});
-  EXPECT_EQ(f.hello_epoch, 0u);
+  // A hello that ends after the node id, and one whose epoch is 0.
+  const std::uint8_t short_hello[9] = {0x05, 0x00, 0x00, 0x80, 0x01,
+                                       0x04, 0x00, 0x00, 0x00};
+  FrameDecoder d_short;
+  d_short.feed(short_hello, sizeof short_hello);
+  EXPECT_THROW(d_short.next_frame(f), DecodeError);
+
+  auto zero = hello;
+  std::fill(zero.end() - 8, zero.end(), std::uint8_t{0});
+  FrameDecoder d_zero;
+  d_zero.feed(zero.data(), zero.size());
+  EXPECT_THROW(d_zero.next_frame(f), DecodeError);
 }
 
 TEST(LiveService, NodeEpochIsNonzeroAndStable) {
@@ -264,12 +254,9 @@ TEST(LiveService, ManySmallFramesInOneSegmentAllDeliver) {
 /// Park `count` sends in the window of a node whose peer is not up yet,
 /// then start the peer: resend_window queues the whole backlog at once,
 /// which is the deterministic way to hand flush() a deep outbox.
-TcpStats parked_burst_stats(std::size_t max_batch_bytes,
-                            std::uint32_t count) {
-  TcpConfig cfg = fast_cfg();
-  cfg.max_batch_bytes = max_batch_bytes;
+TcpStats parked_burst_stats(std::uint32_t count) {
   const std::uint16_t port = reserve_port();
-  TcpNode sender(NodeId{1}, 0, cfg);
+  TcpNode sender(NodeId{1}, 0, fast_cfg());
   std::thread ts([&] { sender.loop().run(); });
   sender.set_peers({{NodeId{0}, PeerAddress{"127.0.0.1", port}}});
   for (std::uint32_t i = 0; i < count; ++i)
@@ -294,8 +281,7 @@ TcpStats parked_burst_stats(std::size_t max_batch_bytes,
 
 TEST(LiveService, CoalescingWritesFewerBatchesThanFrames) {
   constexpr std::uint32_t kCount = 40;
-  const TcpStats s = parked_burst_stats(/*max_batch_bytes=*/256 * 1024,
-                                        kCount);
+  const TcpStats s = parked_burst_stats(kCount);
   // hello + 40 data frames fit one iovec batch (64 max): far fewer
   // syscalls than frames.
   EXPECT_GE(s.frames_out, kCount + 1);  // + hello
@@ -305,33 +291,13 @@ TEST(LiveService, CoalescingWritesFewerBatchesThanFrames) {
       << "at least one batch should gather >= 17 frames";
 }
 
-TEST(LiveService, BatchingDisabledWritesOneFramePerBatch) {
-  constexpr std::uint32_t kCount = 40;
-  const TcpStats s = parked_burst_stats(/*max_batch_bytes=*/0, kCount);
-  EXPECT_GE(s.frames_out, kCount + 1);
-  EXPECT_GE(s.batches_written, s.frames_out)
-      << "baseline must spend at least one writev per frame";
-  EXPECT_EQ(s.frames_per_batch[1] + s.frames_per_batch[2] +
-                s.frames_per_batch[3],
-            0u)
-      << "no multi-frame batches with coalescing disabled";
-}
+// --- ack piggybacking: acks ride the replies -----------------------------
 
-// --- ack piggybacking: same delivery, cheaper acks ----------------------
-
-/// Closed-loop request/response over two nodes: node 0 answers every
-/// request with a reply, giving acks a data frame to ride. Returns
-/// {requester stats, responder stats, delivered at requester}.
-struct PingPongResult {
-  TcpStats requester;
-  TcpStats responder;
-  std::uint64_t replies{0};
-};
-
-PingPongResult ping_pong(Duration piggyback_window, std::uint32_t rounds) {
-  TcpConfig cfg = fast_cfg();
-  cfg.ack_piggyback_window = piggyback_window;
-  InProcessCluster cluster(2, cfg);
+TEST(LiveService, PiggybackedAcksRideEchoReplies) {
+  // Closed-loop request/response over two nodes: node 0 answers every
+  // request with a reply, giving its acks a data frame to ride.
+  constexpr std::uint32_t kRounds = 25;
+  InProcessCluster cluster(2, fast_cfg());
   std::atomic<std::uint64_t> replies{0};
   // Node 0: echo every request back (on its own loop thread, like an
   // engine would).
@@ -340,7 +306,7 @@ PingPongResult ping_pong(Duration piggyback_window, std::uint32_t rounds) {
   });
   cluster.node(1).set_handler(
       [&](const Message&) { replies.fetch_add(1, std::memory_order_relaxed); });
-  for (std::uint32_t i = 0; i < rounds; ++i) {
+  for (std::uint32_t i = 0; i < kRounds; ++i) {
     cluster.node(1).send(NodeId{0}, sample_message(i));
     // Pace the loop: wait for the echo so every round is a fresh
     // read-burst -> ack decision on both sides.
@@ -349,35 +315,13 @@ PingPongResult ping_pong(Duration piggyback_window, std::uint32_t rounds) {
   EXPECT_TRUE(spin_until([&] {
     return cluster.node(0).unacked() == 0 && cluster.node(1).unacked() == 0;
   }));
-  PingPongResult r;
-  r.requester = cluster.node(1).stats();
-  r.responder = cluster.node(0).stats();
-  r.replies = replies.load();
+  const TcpStats responder = cluster.node(0).stats();
   cluster.stop();
-  return r;
-}
-
-TEST(LiveService, PiggybackedAcksMatchBaselineDeliveryWithFewerAckFrames) {
-  constexpr std::uint32_t kRounds = 25;
-  const PingPongResult base = ping_pong(/*piggyback_window=*/0, kRounds);
-  const PingPongResult piggy = ping_pong(msec(50), kRounds);
-
-  // Equivalence: same workload, same delivered/acked outcome.
-  EXPECT_EQ(base.replies, kRounds);
-  EXPECT_EQ(piggy.replies, kRounds);
-
-  // Baseline pays a standalone kAck per read burst and never piggybacks.
-  EXPECT_EQ(base.requester.acks_piggybacked, 0u);
-  EXPECT_EQ(base.responder.acks_piggybacked, 0u);
-  EXPECT_GE(base.responder.acks_standalone, kRounds / 2);
-
-  // With the window on, the responder's acks ride its replies: its
-  // echo send is always queued within the window of the request burst.
-  EXPECT_GE(piggy.responder.acks_piggybacked, kRounds / 2)
+  EXPECT_EQ(replies.load(), kRounds);
+  // The echo send is queued in the same loop turn as the request burst,
+  // well inside the ack's piggyback wait, so the responder's acks ride it.
+  EXPECT_GE(responder.acks_piggybacked, kRounds / 2)
       << "responder acks should ride the echo replies";
-  EXPECT_LT(piggy.responder.acks_standalone,
-            base.responder.acks_standalone)
-      << "piggybacking must reduce standalone ack frames";
 }
 
 // --- peer restart: epoch change resets dedup, exactly-once resumes ------
@@ -449,10 +393,7 @@ TEST(LiveService, SessionMuxRunsManySessionsOverLiveTcp) {
   constexpr std::uint32_t kOpsPerSession = 6;
   constexpr std::uint32_t kEntries = 4;
 
-  TcpConfig cfg = fast_cfg();
-  cfg.max_batch_bytes = 256 * 1024;
-  cfg.ack_piggyback_window = msec(1);
-  InProcessCluster cluster(kNodes, cfg);
+  InProcessCluster cluster(kNodes, fast_cfg());
   lockmgr::ResourceLayout layout(kEntries);
 
   struct Svc {

@@ -509,6 +509,27 @@ TEST(ManyLocks, UnorderedDeadlockRunIsStillShardInvariant) {
   EXPECT_EQ(serial, run_with(cfg, 2, 2));
 }
 
+TEST(ManyLocks, RequestQueuedBehindConflictingWaiterStillHasAnEdge) {
+  // `many_locks --shards 2 --lock-count 256 --trees 4 --nodes 4 --ops 20
+  // --zipf 1.2 --seed 13 --cross-tree-pct 30 --cross-tree-unordered`: a
+  // gateway's IW request sits at the token behind a queued R while every
+  // holder is compatible with IW (IW is frozen for the R). Only the
+  // queue-order edge gateway -> R-waiter closes the cycle; without it
+  // the graph showed none and run() threw "lost request" at 125/320.
+  ManyLocksConfig cfg = contended_cross_config();
+  cfg.trees = 4;
+  cfg.spec.lock_count = 256;
+  cfg.spec.seed = 13;
+  cfg.cross_tree_pct = 30.0;
+  cfg.cross_tree_unordered = true;
+  cfg.shards = 2;
+  ManyLocksCluster cluster(cfg);
+  ASSERT_NO_THROW(cluster.run());
+  const ManyLocksResult r = cluster.result();
+  EXPECT_EQ(r.ops, 125u);
+  EXPECT_GE(r.deadlock_cycles, 1u);
+}
+
 TEST(ManyLocks, LookaheadIsTheCrossHopFloorOnly) {
   // Only cross-tree hops are posted between shards, so only their floor
   // (uniform's mean/2, minus one for the inclusive horizon) bounds the

@@ -37,6 +37,9 @@ TcpConfig fast_cfg() {
   return c;
 }
 
+/// Boot epoch the hand-driven peers announce in their hellos.
+constexpr std::uint64_t kEpoch = 1;
+
 Message sample_message(std::uint32_t lock) {
   Message m;
   m.kind = MsgKind::kRequest;
@@ -213,7 +216,7 @@ TEST(TcpFaults, GarbageBytesOnListenSocketAreContained) {
 
   // The node still accepts and serves a well-behaved peer.
   RawClient good(n.listen_port());
-  good.send_bytes(hello_frame(NodeId{7}));
+  good.send_bytes(hello_frame(NodeId{7}, kEpoch));
   good.send_bytes(frame(sample_message(42), 1));
   EXPECT_TRUE(spin_until([&] { return n.delivered() == 1; }));
   EXPECT_EQ(n.connected_peers(), 1u);
@@ -228,22 +231,38 @@ TEST(TcpFaults, MalformedFrameAfterHelloClosesConnAndPeerRecovers) {
   TcpNode n(NodeId{0}, 0, fast_cfg());
   std::thread t([&] { n.loop().run(); });
 
-  {
+  // Raw garbage, and a well-formed data frame in the pre-ack layout
+  // ([u32 len, kAckFlagBit clear][u64 seq][Message]).
+  std::vector<std::uint8_t> no_ack = frame(sample_message(2), 1);
+  no_ack.erase(no_ack.begin() + kAckFieldOffset,
+               no_ack.begin() + kAckFieldOffset + 8);
+  const std::uint32_t len = static_cast<std::uint32_t>(no_ack.size()) - 4;
+  for (std::size_t i = 0; i < 4; ++i)
+    no_ack[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  const std::vector<std::vector<std::uint8_t>> malformed = {
+      std::vector<std::uint8_t>(8, 0xFF), no_ack};
+
+  std::uint64_t errors = 0;
+  for (const auto& bad : malformed) {
     RawClient peer(n.listen_port());
-    peer.send_bytes(hello_frame(NodeId{5}));
+    peer.send_bytes(hello_frame(NodeId{5}, kEpoch));
     ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
-    peer.send_bytes(std::vector<std::uint8_t>(8, 0xFF));
-    ASSERT_TRUE(spin_until([&] { return n.stats().decode_errors >= 1; }));
+    peer.send_bytes(bad);
+    ASSERT_TRUE(
+        spin_until([&] { return n.stats().decode_errors >= errors + 1; }));
+    errors = n.stats().decode_errors;
     ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 0; }));
+    EXPECT_TRUE(peer.closed_by_peer()) << "the link must be closed";
   }
+  EXPECT_EQ(n.delivered(), 0u) << "a malformed frame must not be delivered";
 
   // Same peer id reconnects: the peer count must recover.
   RawClient again(n.listen_port());
-  again.send_bytes(hello_frame(NodeId{5}));
+  again.send_bytes(hello_frame(NodeId{5}, kEpoch));
   again.send_bytes(frame(sample_message(3), 1));
   EXPECT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   EXPECT_TRUE(spin_until([&] { return n.delivered() == 1; }));
-  EXPECT_GE(n.stats().reconnects, 1u);
+  EXPECT_GE(n.stats().reconnects, 2u);
 
   n.loop().stop();
   t.join();
@@ -256,7 +275,7 @@ TEST(TcpFaults, MidFrameResetIsContained) {
   std::thread t([&] { n.loop().run(); });
 
   RawClient peer(n.listen_port());
-  peer.send_bytes(hello_frame(NodeId{9}));
+  peer.send_bytes(hello_frame(NodeId{9}, kEpoch));
   ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   const auto full = frame(sample_message(5), 1);
   peer.send_prefix(full, full.size() / 2);
@@ -268,7 +287,7 @@ TEST(TcpFaults, MidFrameResetIsContained) {
 
   // Node is still alive and serving.
   RawClient good(n.listen_port());
-  good.send_bytes(hello_frame(NodeId{9}));
+  good.send_bytes(hello_frame(NodeId{9}, kEpoch));
   good.send_bytes(frame(sample_message(6), 1));
   EXPECT_TRUE(spin_until([&] { return n.delivered() == 1; }));
 
@@ -283,7 +302,7 @@ TEST(TcpFaults, ShutdownWrIsReapedNotLeaked) {
   std::thread t([&] { n.loop().run(); });
 
   RawClient peer(n.listen_port());
-  peer.send_bytes(hello_frame(NodeId{4}));
+  peer.send_bytes(hello_frame(NodeId{4}, kEpoch));
   ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   peer.shutdown_write();
 
@@ -303,7 +322,7 @@ TEST(TcpFaults, HalfOpenPeerIsReapedByIdleTimeout) {
   std::thread t([&] { n.loop().run(); });
 
   RawClient silent(n.listen_port());
-  silent.send_bytes(hello_frame(NodeId{3}));
+  silent.send_bytes(hello_frame(NodeId{3}, kEpoch));
   ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   // The client never answers pings; last_recv stalls past idle_timeout.
   EXPECT_TRUE(spin_until([&] { return n.stats().idle_closes >= 1; }, 3000));

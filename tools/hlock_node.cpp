@@ -20,6 +20,7 @@
 // Lock `i` starts rooted at node (i mod peers+1) — identical on every
 // node, so no coordination is needed at startup.
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -29,33 +30,14 @@
 #include <thread>
 #include <vector>
 
-#include "common/parse.hpp"
 #include "corba/concurrency.hpp"
 #include "net/tcp_node.hpp"
 #include "net/view_service.hpp"
+#include "node_flags.hpp"
 
 using namespace hlock;
 
 namespace {
-
-// Strict flag parses: std::stoul would throw an unhelpful
-// std::invalid_argument on garbage and silently accept trailing junk
-// ("70x0" -> 70); these reject anything that isn't entirely a number.
-std::uint32_t parse_u32(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_u32(text);
-  if (!v)
-    throw std::invalid_argument(flag + " expects an unsigned integer, got '" +
-                                text + "'");
-  return *v;
-}
-
-std::uint16_t parse_u16(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_u16(text);
-  if (!v)
-    throw std::invalid_argument(flag + " expects a port number, got '" +
-                                text + "'");
-  return *v;
-}
 
 Mode parse_mode(const std::string& s) {
   if (s == "IR") return Mode::kIR;
@@ -66,69 +48,37 @@ Mode parse_mode(const std::string& s) {
   throw std::invalid_argument("mode must be IR|R|U|IW|W");
 }
 
-struct Options {
-  std::uint32_t id{0};
-  std::uint16_t port{0};
-  std::map<NodeId, net::PeerAddress> peers;
+struct Options : tools::NodeFlags {
   std::uint32_t locks{1};
-  net::TcpConfig tcp{};
   std::uint32_t view_retry_ms{50};
 };
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (++i >= argc) throw std::invalid_argument("missing value for " + arg);
-      return argv[i];
-    };
-    if (arg == "--id") {
-      opt.id = parse_u32(arg, next());
-    } else if (arg == "--port") {
-      opt.port = parse_u16(arg, next());
-    } else if (arg == "--locks") {
-      opt.locks = parse_u32(arg, next());
-    } else if (arg == "--reconnect-min-ms") {
-      opt.tcp.reconnect_min = msec(parse_u32(arg, next()));
-    } else if (arg == "--reconnect-max-ms") {
-      opt.tcp.reconnect_max = msec(parse_u32(arg, next()));
-    } else if (arg == "--heartbeat-ms") {
-      opt.tcp.heartbeat_interval = msec(parse_u32(arg, next()));
-    } else if (arg == "--idle-timeout-ms") {
-      opt.tcp.idle_timeout = msec(parse_u32(arg, next()));
-    } else if (arg == "--suspect-timeout-ms") {
-      // Failure detection + automatic view changes: suspect a silent peer
-      // after this long and let the lowest surviving id coordinate a
-      // recovery view. 0 (default) = crashes are not handled.
-      opt.tcp.suspect_timeout = msec(parse_u32(arg, next()));
-    } else if (arg == "--view-retry-ms") {
-      opt.view_retry_ms = parse_u32(arg, next());
-    } else if (arg == "--max-batch-bytes") {
-      // Frame-coalescing cap per writev batch; 0 = one frame per syscall.
-      opt.tcp.max_batch_bytes = parse_u32(arg, next());
-    } else if (arg == "--piggyback-ms") {
-      // Ack piggyback window; 0 (default) = standalone acks only.
-      opt.tcp.ack_piggyback_window = msec(parse_u32(arg, next()));
-    } else if (arg == "--send-window") {
-      // Per-peer cap on unacked sends; 0 (default) = unbounded. Protocol
-      // messages past the cap are dropped (sends_rejected), so only use
-      // with workloads that tolerate loss.
-      opt.tcp.send_window_limit = parse_u32(arg, next());
-    } else if (arg == "--peer") {
-      const std::string spec = next();  // id=host:port
-      const auto eq = spec.find('=');
-      const auto colon = spec.find(':', eq);
-      if (eq == std::string::npos || colon == std::string::npos)
-        throw std::invalid_argument("--peer expects id=host:port");
-      const NodeId pid{parse_u32("--peer id", spec.substr(0, eq))};
-      opt.peers[pid] = net::PeerAddress{
-          spec.substr(eq + 1, colon - eq - 1),
-          parse_u16("--peer port", spec.substr(colon + 1))};
-    } else {
-      throw std::invalid_argument("unknown argument: " + arg);
-    }
-  }
+  tools::parse_node_flags(
+      argc, argv, opt,
+      [&opt](const std::string& arg,
+             const std::function<std::string()>& value) {
+        if (arg == "--locks") {
+          opt.locks = tools::flag_u32(arg, value());
+        } else if (arg == "--suspect-timeout-ms") {
+          // Failure detection + automatic view changes: suspect a silent
+          // peer after this long and let the lowest surviving id
+          // coordinate a recovery view. 0 (default) = crashes are not
+          // handled.
+          opt.tcp.suspect_timeout = msec(tools::flag_u32(arg, value()));
+        } else if (arg == "--view-retry-ms") {
+          opt.view_retry_ms = tools::flag_u32(arg, value());
+        } else if (arg == "--send-window") {
+          // Per-peer cap on unacked sends; 0 (default) = unbounded.
+          // Protocol messages past the cap are dropped (sends_rejected),
+          // so only use with workloads that tolerate loss.
+          opt.tcp.send_window_limit = tools::flag_u32(arg, value());
+        } else {
+          return false;
+        }
+        return true;
+      });
   return opt;
 }
 

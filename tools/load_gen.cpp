@@ -17,112 +17,67 @@
 //
 // Every process must agree on --entries and the mesh membership: lock l
 // (table = 0, entries 1..E) starts rooted at node l % cluster_size.
-// Transport tuning (--max-batch-bytes, --piggyback-ms) matches
-// hlock_node; run with and without to compare [tcp-stats] counters.
+// The mesh and transport timing flags (--id, --port, --peer,
+// --reconnect-{min,max}-ms, --heartbeat-ms, --idle-timeout-ms) are the
+// ones hlock_node takes (tools/node_flags.hpp).
 //
-// bench/live_bench runs this same workload in-process with baseline vs
-// optimized transports side by side; load_gen is the multi-process,
-// real-network variant.
+// bench/live_bench runs this same workload in-process for a fixed wall
+// time per repetition; load_gen is the multi-process, real-network
+// variant.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/hls_node.hpp"
 #include "lockmgr/resource.hpp"
 #include "lockmgr/session_mux.hpp"
 #include "net/tcp_node.hpp"
+#include "node_flags.hpp"
 
 using namespace hlock;
 
 namespace {
 
-std::uint32_t parse_u32(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_u32(text);
-  if (!v)
-    throw std::invalid_argument(flag + " expects an unsigned integer, got '" +
-                                text + "'");
-  return *v;
-}
-
-std::uint16_t parse_u16(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_u16(text);
-  if (!v)
-    throw std::invalid_argument(flag + " expects a port number, got '" +
-                                text + "'");
-  return *v;
-}
-
-struct Options {
-  std::uint32_t id{0};
-  std::uint16_t port{0};
-  std::map<NodeId, net::PeerAddress> peers;
+struct Options : tools::NodeFlags {
   std::uint32_t entries{16};
   std::uint32_t sessions{8};
   std::uint32_t ops{100};  ///< per logical session
   std::uint32_t cs_us{0};
   std::uint64_t seed{42};
   std::uint32_t settle_ms{500};  ///< wait for mesh connectivity
-  net::TcpConfig tcp{};
 };
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (++i >= argc) throw std::invalid_argument("missing value for " + arg);
-      return argv[i];
-    };
-    if (arg == "--id") {
-      opt.id = parse_u32(arg, next());
-    } else if (arg == "--port") {
-      opt.port = parse_u16(arg, next());
-    } else if (arg == "--entries") {
-      opt.entries = parse_u32(arg, next());
-    } else if (arg == "--sessions") {
-      opt.sessions = parse_u32(arg, next());
-    } else if (arg == "--ops") {
-      opt.ops = parse_u32(arg, next());
-    } else if (arg == "--cs-us") {
-      opt.cs_us = parse_u32(arg, next());
-    } else if (arg == "--seed") {
-      opt.seed = parse_u32(arg, next());
-    } else if (arg == "--settle-ms") {
-      opt.settle_ms = parse_u32(arg, next());
-    } else if (arg == "--reconnect-min-ms") {
-      opt.tcp.reconnect_min = msec(parse_u32(arg, next()));
-    } else if (arg == "--reconnect-max-ms") {
-      opt.tcp.reconnect_max = msec(parse_u32(arg, next()));
-    } else if (arg == "--heartbeat-ms") {
-      opt.tcp.heartbeat_interval = msec(parse_u32(arg, next()));
-    } else if (arg == "--idle-timeout-ms") {
-      opt.tcp.idle_timeout = msec(parse_u32(arg, next()));
-    } else if (arg == "--max-batch-bytes") {
-      opt.tcp.max_batch_bytes = parse_u32(arg, next());
-    } else if (arg == "--piggyback-ms") {
-      opt.tcp.ack_piggyback_window = msec(parse_u32(arg, next()));
-    } else if (arg == "--peer") {
-      const std::string spec = next();  // id=host:port
-      const auto eq = spec.find('=');
-      const auto colon = spec.find(':', eq);
-      if (eq == std::string::npos || colon == std::string::npos)
-        throw std::invalid_argument("--peer expects id=host:port");
-      const NodeId pid{parse_u32("--peer id", spec.substr(0, eq))};
-      opt.peers[pid] = net::PeerAddress{
-          spec.substr(eq + 1, colon - eq - 1),
-          parse_u16("--peer port", spec.substr(colon + 1))};
-    } else {
-      throw std::invalid_argument("unknown argument: " + arg);
-    }
-  }
+  tools::parse_node_flags(
+      argc, argv, opt,
+      [&opt](const std::string& arg,
+             const std::function<std::string()>& value) {
+        if (arg == "--entries") {
+          opt.entries = tools::flag_u32(arg, value());
+        } else if (arg == "--sessions") {
+          opt.sessions = tools::flag_u32(arg, value());
+        } else if (arg == "--ops") {
+          opt.ops = tools::flag_u32(arg, value());
+        } else if (arg == "--cs-us") {
+          opt.cs_us = tools::flag_u32(arg, value());
+        } else if (arg == "--seed") {
+          opt.seed = tools::flag_u32(arg, value());
+        } else if (arg == "--settle-ms") {
+          opt.settle_ms = tools::flag_u32(arg, value());
+        } else {
+          return false;
+        }
+        return true;
+      });
   if (opt.sessions == 0 || opt.ops == 0 || opt.entries == 0)
     throw std::invalid_argument("--sessions/--ops/--entries must be nonzero");
   return opt;
