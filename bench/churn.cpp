@@ -25,11 +25,8 @@ struct ChurnRig {
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      core::EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode) { on_acquired(i, rid); };
       engines.push_back(std::make_unique<core::HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), core::EngineOptions{},
-          std::move(cbs)));
+          LockId{0}, id, NodeId{0}, *transports.back()));
       core::HlsEngine* raw = engines.back().get();
       net.register_node(id, [raw](const Message& m) { raw->handle(m); });
     }
@@ -68,7 +65,8 @@ struct ChurnRig {
     sim.schedule_after(msec(10), [this, i] {
       if (departed[i]) return;
       issued_at[i] = sim.now();
-      (void)engines[i]->request_lock(Mode::kW);
+      (void)engines[i]->request_lock(
+          Mode::kW, [this, i](RequestId rid, Mode) { on_acquired(i, rid); });
     });
   }
 

@@ -27,13 +27,8 @@ struct Rig {
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      core::EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode) {
-        on_acquired(i, rid);
-      };
       engines.push_back(std::make_unique<core::HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), opts,
-          std::move(cbs)));
+          LockId{0}, id, NodeId{0}, *transports.back(), opts));
       core::HlsEngine* raw = engines.back().get();
       net.register_node(id, [raw](const Message& m) { raw->handle(m); });
     }
@@ -53,7 +48,10 @@ struct Rig {
     --rounds[node];
     sim.schedule_after(msec(5), [this, node] {
       issued[node] = sim.now();
-      (void)engines[node]->request_lock(Mode::kW, priority_of[node]);
+      (void)engines[node]->request_lock(
+          Mode::kW,
+          [this, node](RequestId rid, Mode) { on_acquired(node, rid); },
+          priority_of[node]);
     });
   }
 

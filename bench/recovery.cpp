@@ -29,18 +29,8 @@ struct Rig {
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      core::EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode) {
-        grant_times.push_back(sim.now());
-        sim.schedule_after(msec(3), [this, i, rid] {
-          if (!alive[i]) return;
-          engines[i]->unlock(rid);
-          request_later(i);
-        });
-      };
       engines.push_back(std::make_unique<core::HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), core::EngineOptions{},
-          std::move(cbs)));
+          LockId{0}, id, NodeId{0}, *transports.back()));
       core::HlsEngine* raw = engines.back().get();
       net.register_node(id, [this, i, raw](const Message& m) {
         if (alive[i]) raw->handle(m);
@@ -51,7 +41,14 @@ struct Rig {
   void request_later(std::size_t i) {
     sim.schedule_after(msec(8), [this, i] {
       if (!alive[i] || remaining[i]-- <= 0) return;
-      (void)engines[i]->request_lock(Mode::kW);
+      (void)engines[i]->request_lock(Mode::kW, [this, i](RequestId rid, Mode) {
+        grant_times.push_back(sim.now());
+        sim.schedule_after(msec(3), [this, i, rid] {
+          if (!alive[i]) return;
+          engines[i]->unlock(rid);
+          request_later(i);
+        });
+      });
     });
   }
 

@@ -9,6 +9,10 @@
 // copy grants cascading from a fresh grant.
 // Example 2 (Figure 3): mode freezing — a queued R request freezes IW at
 // the token node so subsequent IW requests cannot starve it.
+//
+// Each request carries its own continuation, which prints the grant the
+// moment the engine delivers it (inside request_lock() for a local grant,
+// inside the pump for a remote one).
 #include <deque>
 #include <functional>
 #include <iostream>
@@ -87,13 +91,19 @@ struct Cluster {
           ids[i],
           std::make_unique<HlsEngine>(
               LockId{0}, ids[i], NodeId{std::uint32_t(token_holder - 'A')},
-              bus.port(ids[i]), core::EngineOptions{}, core::EngineCallbacks{},
-              initial_parent));
+              bus.port(ids[i]), core::EngineOptions{}, initial_parent));
       bus.register_engine(ids[i], engines.at(ids[i]).get());
     }
   }
 
   HlsEngine& at(char c) { return *engines.at(NodeId{std::uint32_t(c - 'A')}); }
+
+  /// Issue a request at node `c` whose continuation reports its grant.
+  RequestId request(char c, Mode mode) {
+    return at(c).request_lock(mode, [c](RequestId, Mode granted) {
+      std::cout << "    " << c << " granted " << granted << "\n";
+    });
+  }
 
   void show(const std::string& caption) {
     std::cout << "  " << caption << "\n";
@@ -126,12 +136,12 @@ void example_figure2() {
   // Figure 2(a) topology: A is root holding R; B holds IR as A's child;
   // C holds IR as B's child (B granted it — Rule 3.1); D hangs off B.
   Cluster c({'A', 'B', 'C', 'D'}, 'A', {{'C', 'B'}, {'D', 'B'}});
-  const RequestId ra = c.at('A').request_lock(Mode::kR);
+  const RequestId ra = c.request('A', Mode::kR);
   (void)ra;
-  const RequestId rb = c.at('B').request_lock(Mode::kIR);
+  const RequestId rb = c.request('B', Mode::kIR);
   c.bus.pump();
   // C's request routes through its parent B, which grants it itself.
-  const RequestId rc = c.at('C').request_lock(Mode::kIR);
+  const RequestId rc = c.request('C', Mode::kIR);
   c.bus.pump();
   (void)rc;
   c.show("initial state (Fig. 2a): A holds R, B holds IR, C holds IR via B");
@@ -143,8 +153,8 @@ void example_figure2() {
   c.show("after B releases IR (Fig. 2b)");
 
   std::cout << "  B requests R; D requests R while {B,R} is in transit\n";
-  (void)c.at('B').request_lock(Mode::kR);
-  (void)c.at('D').request_lock(Mode::kR);
+  (void)c.request('B', Mode::kR);
+  (void)c.request('D', Mode::kR);
   c.bus.pump();
   c.show("after both R requests served (Fig. 2d)");
 }
@@ -154,17 +164,17 @@ void example_figure3() {
   // A is root holding IW; B, C hold IW copies... IW is incompatible with
   // IW? No: IW is compatible with IW — A, B, C all hold IW concurrently.
   Cluster c({'A', 'B', 'C', 'D'}, 'A');
-  const RequestId ra = c.at('A').request_lock(Mode::kIW);
-  const RequestId rb = c.at('B').request_lock(Mode::kIW);
+  const RequestId ra = c.request('A', Mode::kIW);
+  const RequestId rb = c.request('B', Mode::kIW);
   c.bus.pump();
-  const RequestId rc = c.at('C').request_lock(Mode::kIW);
+  const RequestId rc = c.request('C', Mode::kIW);
   c.bus.pump();
   (void)rb;
   c.show("initial state (Fig. 3a): A,B,C hold IW");
 
   std::cout << "  D requests R -> incompatible with IW, queued at token "
                "node A; A freezes IW and notifies potential granters\n";
-  (void)c.at('D').request_lock(Mode::kR);
+  (void)c.request('D', Mode::kR);
   c.bus.pump();
   c.show("frozen state (Fig. 3b)");
 

@@ -57,14 +57,26 @@ LockHandle LockSet::change_mode(const LockHandle& handle, LockMode new_mode) {
 // ConcurrencyService
 // ---------------------------------------------------------------------------
 
+void ConcurrencyService::Waiter::complete(RequestId id, Mode granted,
+                                         std::exception_ptr err) {
+  {
+    const std::lock_guard<std::mutex> guard(mutex);
+    done = true;
+    request = id;
+    mode = granted;
+    error = std::move(err);
+  }
+  cv.notify_all();
+}
+
+void ConcurrencyService::Waiter::wait() {
+  std::unique_lock<std::mutex> lk(mutex);
+  cv.wait(lk, [this] { return done; });
+}
+
 ConcurrencyService::ConcurrencyService(net::TcpNode& node,
                                        core::EngineOptions opts)
     : node_(node), hls_(node.self(), node.transport(), opts) {
-  hls_.set_on_acquired([this](LockId lock, RequestId id, Mode mode) {
-    on_acquired(lock, id, mode);
-  });
-  hls_.set_on_upgraded(
-      [this](LockId lock, RequestId id) { on_upgraded(lock, id); });
   node_.set_handler([this](const Message& m) { hls_.handle(m); });
 }
 
@@ -85,19 +97,15 @@ ConcurrencyService::~ConcurrencyService() {
 void ConcurrencyService::run_on_loop(const std::function<void()>& fn) {
   auto w = std::make_shared<Waiter>();
   node_.loop().post([w, &fn] {
+    std::exception_ptr error;
     try {
       fn();
     } catch (...) {
-      w->error = std::current_exception();
+      error = std::current_exception();
     }
-    {
-      const std::lock_guard<std::mutex> guard(w->mutex);
-      w->done = true;
-    }
-    w->cv.notify_all();
+    w->complete(RequestId{}, Mode::kNone, error);
   });
-  std::unique_lock<std::mutex> lk(w->mutex);
-  w->cv.wait(lk, [&] { return w->done; });
+  w->wait();
   if (w->error) std::rethrow_exception(w->error);
 }
 
@@ -115,34 +123,14 @@ std::shared_ptr<ConcurrencyService::Waiter> ConcurrencyService::issue(
     LockId id, Mode mode, std::uint8_t priority) {
   auto w = std::make_shared<Waiter>();
   node_.loop().post([this, id, mode, priority, w] {
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      slot_ = w;
-    }
-    RequestId rid{};
-    std::exception_ptr error;
     try {
-      rid = hls_.engine(id).request_lock(mode, priority);
+      const RequestId rid = hls_.engine(id).request_lock(
+          mode, [w](RequestId r, Mode m) { w->complete(r, m); }, priority);
+      const std::lock_guard<std::mutex> guard(w->mutex);
+      w->request = rid;  // already set if the grant fired synchronously
     } catch (...) {
-      error = std::current_exception();
+      w->complete(RequestId{}, Mode::kNone, std::current_exception());
     }
-    bool fulfilled;
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      slot_.reset();
-      {
-        const std::lock_guard<std::mutex> wg(w->mutex);
-        fulfilled = w->done;
-        if (!fulfilled && error) {
-          w->error = error;
-          w->done = true;
-          fulfilled = true;
-        }
-        if (!fulfilled) w->request = rid;
-      }
-      if (!fulfilled) waiters_[rid] = w;
-    }
-    if (fulfilled) w->cv.notify_all();
   });
   return w;
 }
@@ -160,10 +148,7 @@ LockHandle ConcurrencyService::take(LockId id, Waiter& w) {
 LockHandle ConcurrencyService::lock_blocking(LockId id, Mode mode,
                                              std::uint8_t priority) {
   const std::shared_ptr<Waiter> w = issue(id, mode, priority);
-  {
-    std::unique_lock<std::mutex> lk(w->mutex);
-    w->cv.wait(lk, [&] { return w->done; });
-  }
+  w->wait();
   return take(id, *w);
 }
 
@@ -194,7 +179,7 @@ std::optional<LockHandle> ConcurrencyService::lock_with_deadline(
   // grant can land while we look: the issuing task was posted first, so
   // it has run by now (however late), and either the grant already fired
   // and we own the hold after all, or the request is still pending and
-  // cancel() makes sure it is never granted to anyone.
+  // cancel() drops its continuation so it is never granted to anyone.
   run_on_loop([&] {
     RequestId rid;
     {
@@ -202,12 +187,8 @@ std::optional<LockHandle> ConcurrencyService::lock_with_deadline(
       if (w->done) return;
       rid = w->request;
     }
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      waiters_.erase(rid);
-    }
     if (!hls_.engine(id).cancel(rid))
-      throw std::logic_error("granted request had no acquired callback");
+      throw std::logic_error("granted request did not complete its waiter");
   });
   {
     const std::lock_guard<std::mutex> wg(w->mutex);
@@ -235,28 +216,15 @@ LockHandle ConcurrencyService::change_mode_blocking(const LockHandle& handle,
   if (handle.mode == Mode::kU && new_mode == Mode::kW) {
     // Rule 7 upgrade: may block until every other holder drains.
     auto w = std::make_shared<Waiter>();
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      waiters_[handle.request] = w;
-    }
     node_.loop().post([this, handle, w] {
       try {
-        hls_.engine(handle.lock).upgrade(handle.request);
+        hls_.engine(handle.lock).upgrade(
+            handle.request, [w](RequestId r, Mode m) { w->complete(r, m); });
       } catch (...) {
-        {
-          const std::lock_guard<std::mutex> guard(mutex_);
-          waiters_.erase(handle.request);
-        }
-        {
-          const std::lock_guard<std::mutex> wg(w->mutex);
-          w->error = std::current_exception();
-          w->done = true;
-        }
-        w->cv.notify_all();
+        w->complete(handle.request, Mode::kNone, std::current_exception());
       }
     });
-    std::unique_lock<std::mutex> lk(w->mutex);
-    w->cv.wait(lk, [&] { return w->done; });
+    w->wait();
     if (w->error) std::rethrow_exception(w->error);
     return LockHandle{handle.lock, handle.request, Mode::kW};
   }
@@ -300,51 +268,6 @@ void ConcurrencyService::drop_locks(LockId id) {
   }
   for (auto it = holds.rbegin(); it != holds.rend(); ++it)
     unlock_blocking(*it);
-}
-
-void ConcurrencyService::on_acquired(LockId /*lock*/, RequestId id,
-                                     Mode mode) {
-  std::shared_ptr<Waiter> w;
-  {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    const auto it = waiters_.find(id);
-    if (it != waiters_.end()) {
-      w = it->second;
-      waiters_.erase(it);
-    } else if (slot_) {
-      // Synchronous grant inside request_lock, before the id was known.
-      w = slot_;
-      slot_.reset();
-    }
-  }
-  if (!w) return;  // e.g. a try_lock admission
-  {
-    const std::lock_guard<std::mutex> guard(w->mutex);
-    w->done = true;
-    w->request = id;
-    w->mode = mode;
-  }
-  w->cv.notify_all();
-}
-
-void ConcurrencyService::on_upgraded(LockId /*lock*/, RequestId id) {
-  std::shared_ptr<Waiter> w;
-  {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    const auto it = waiters_.find(id);
-    if (it != waiters_.end()) {
-      w = it->second;
-      waiters_.erase(it);
-    }
-  }
-  if (!w) return;
-  {
-    const std::lock_guard<std::mutex> guard(w->mutex);
-    w->done = true;
-    w->request = id;
-    w->mode = Mode::kW;
-  }
-  w->cv.notify_all();
 }
 
 }  // namespace hlock::corba

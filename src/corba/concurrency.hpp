@@ -18,11 +18,14 @@
 //    LockCoordinator::drop_locks for transaction teardown.
 //
 // All engine interaction is marshalled onto the node's event-loop thread;
-// the facade is safe to call from any thread.
+// the facade is safe to call from any thread. Each blocking call hands
+// the engine a continuation that completes its own Waiter, so a grant
+// always wakes the thread whose request it answers.
 #pragma once
 
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -134,13 +137,21 @@ class ConcurrencyService {
  private:
   friend class LockSet;
 
+  /// One blocked call's rendezvous with the loop thread.
   struct Waiter {
     std::mutex mutex;
     std::condition_variable cv;
     bool done{false};
+    /// The request's id, set on the loop thread once request_lock()
+    /// returned it (or by the grant); the cancel path reads it there.
     RequestId request{};
     Mode mode{Mode::kNone};
     std::exception_ptr error;
+
+    /// Loop thread: mark done with a grant or an error, wake the caller.
+    void complete(RequestId id, Mode granted, std::exception_ptr err = {});
+    /// Caller thread: block until done.
+    void wait();
   };
 
   /// Post a request_lock to the loop thread; the returned waiter is done
@@ -160,17 +171,10 @@ class ConcurrencyService {
   /// Run `fn` on the loop thread and wait for it (exceptions rethrown).
   void run_on_loop(const std::function<void()>& fn);
 
-  void on_acquired(LockId lock, RequestId id, Mode mode);
-  void on_upgraded(LockId lock, RequestId id);
-
   net::TcpNode& node_;
   core::HlsNode hls_;
 
-  std::mutex mutex_;
-  /// Waiters keyed by request id; the slot covers the window inside
-  /// request_lock() before the id is known (synchronous grants).
-  std::map<RequestId, std::shared_ptr<Waiter>> waiters_;
-  std::shared_ptr<Waiter> slot_;
+  std::mutex mutex_;  ///< guards live_holds_
   std::multimap<LockId, LockHandle> live_holds_;
 };
 

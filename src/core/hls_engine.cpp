@@ -14,12 +14,11 @@ constexpr Mode kNone = Mode::kNone;
 
 HlsEngine::HlsEngine(LockId lock, NodeId self, NodeId initial_token_holder,
                      Transport& transport, EngineOptions opts,
-                     EngineCallbacks callbacks, NodeId initial_parent)
+                     NodeId initial_parent)
     : lock_(lock),
       self_(self),
       transport_(transport),
       opts_(opts),
-      callbacks_(std::move(callbacks)),
       has_token_(self == initial_token_holder),
       parent_(has_token_ ? NodeId::invalid()
                          : (initial_parent.valid() ? initial_parent
@@ -178,7 +177,8 @@ void HlsEngine::send(NodeId to, Message m) {
 // Application API
 // ---------------------------------------------------------------------------
 
-RequestId HlsEngine::request_lock(Mode mode, std::uint8_t priority) {
+RequestId HlsEngine::request_lock(Mode mode, GrantFn on_granted,
+                                  std::uint8_t priority) {
   if (mode == kNone) throw std::invalid_argument("cannot request mode ∅");
   PendingLocal req;
   req.id = fresh_request_id();
@@ -186,12 +186,14 @@ RequestId HlsEngine::request_lock(Mode mode, std::uint8_t priority) {
   req.stamp = lamport_.tick();
   req.upgrade = false;
   req.priority = priority;
+  req.on_granted = std::move(on_granted);
+  const RequestId id = req.id;
   if (pending_ || !backlog_.empty()) {
-    backlog_.push_back(req);
+    backlog_.push_back(std::move(req));
   } else {
-    start_local_request(req);
+    start_local_request(std::move(req));
   }
-  return req.id;
+  return id;
 }
 
 void HlsEngine::start_local_request(PendingLocal req) {
@@ -203,24 +205,22 @@ void HlsEngine::start_local_request(PendingLocal req) {
     // Rule 7. The hold stays U throughout; no release happens.
     upgrading_hold_ = req.id;
     if (has_token_ && owned_mode_excluding_hold(req.id) == kNone) {
-      set_hold(req.id, Mode::kW);
-      upgrading_hold_.reset();
-      if (callbacks_.on_upgraded) callbacks_.on_upgraded(req.id);
+      admit_local(req, Mode::kW);
       return;
     }
-    pending_ = req;
+    const QueuedRequest q{self_, Mode::kW, req.stamp, true, req.priority};
+    pending_ = std::move(req);
     if (has_token_) {
       // Rule 7 gives upgrades priority: a queued request incompatible
       // with the held U necessarily arrived after it, and serving it
       // first would deadlock against the never-released U.
-      enqueue(QueuedRequest{self_, Mode::kW, req.stamp, true,
-                            req.priority});
+      enqueue(q);
       recompute_frozen_token();
       push_freeze_updates();
     } else {
       Message m;
       m.kind = MsgKind::kRequest;
-      m.req = QueuedRequest{self_, Mode::kW, req.stamp, true, req.priority};
+      m.req = q;
       send(parent_, m);
     }
     return;
@@ -233,11 +233,12 @@ void HlsEngine::start_local_request(PendingLocal req) {
     // (survivor holds may still be unregistered).
     if (compatible(mo, req.mode) && !frozen_blocks &&
         (recovery_waiting_.empty() || stronger_or_equal(mo, req.mode))) {
-      admit_local(req.id, req.mode);
+      admit_local(req, req.mode);
       return;
     }
-    pending_ = req;
-    enqueue(QueuedRequest{self_, req.mode, req.stamp, false, req.priority});
+    const QueuedRequest q{self_, req.mode, req.stamp, false, req.priority};
+    pending_ = std::move(req);
+    enqueue(q);
     recompute_frozen_token();
     push_freeze_updates();
     return;
@@ -247,28 +248,28 @@ void HlsEngine::start_local_request(PendingLocal req) {
   // sufficient compatible mode and the mode is not frozen.
   if (stronger_or_equal(mo, req.mode) && compatible(mo, req.mode) &&
       !frozen_blocks) {
-    admit_local(req.id, req.mode);
+    admit_local(req, req.mode);
     return;
   }
-  pending_ = req;
   Message m;
   m.kind = MsgKind::kRequest;
   m.req = QueuedRequest{self_, req.mode, req.stamp, false, req.priority};
+  pending_ = std::move(req);
   send(parent_, m);
 }
 
-void HlsEngine::admit_local(RequestId id, Mode mode) {
-  if (cancelled_.erase(id) > 0) {
+void HlsEngine::admit_local(PendingLocal& req, Mode mode) {
+  set_hold(req.id, mode);
+  if (req.upgrade) upgrading_hold_.reset();
+  if (req.cancelled) {
     // Cancelled while in flight: the grant is accounted and immediately
-    // released, with no application callback.
-    set_hold(id, mode);
-    unlock(id);
+    // released; its continuation was dropped by cancel().
+    unlock(req.id);
     return;
   }
-  set_hold(id, mode);
   HLOCK_LOG(kTrace, "node " << self_ << " lock " << lock_ << " acquired "
                             << mode << " locally");
-  if (callbacks_.on_acquired) callbacks_.on_acquired(id, mode);
+  if (req.on_granted) req.on_granted(req.id, mode);
 }
 
 bool HlsEngine::cancel(RequestId id) {
@@ -285,7 +286,8 @@ bool HlsEngine::cancel(RequestId id) {
   if (pending_ && pending_->id == id) {
     if (pending_->upgrade)
       throw std::logic_error("cannot cancel an upgrade (U stays held)");
-    cancelled_.insert(id);
+    pending_->cancelled = true;
+    pending_->on_granted = nullptr;
     return true;
   }
   throw std::logic_error("cancel of unknown or already-released request");
@@ -305,7 +307,7 @@ std::optional<RequestId> HlsEngine::try_request_lock(Mode mode) {
              !frozen_blocks);
   if (!admissible) return std::nullopt;
   const RequestId id = fresh_request_id();
-  admit_local(id, mode);
+  set_hold(id, mode);
   return id;
 }
 
@@ -358,7 +360,7 @@ void HlsEngine::unlock(RequestId id) {
   pump_backlog();
 }
 
-void HlsEngine::upgrade(RequestId id) {
+void HlsEngine::upgrade(RequestId id, GrantFn on_granted) {
   const auto it = holds_.find(id);
   if (it == holds_.end() || it->second != Mode::kU)
     throw std::logic_error("upgrade requires a held U lock");
@@ -368,31 +370,27 @@ void HlsEngine::upgrade(RequestId id) {
   req.mode = Mode::kW;
   req.stamp = lamport_.tick();
   req.upgrade = true;
+  req.on_granted = std::move(on_granted);
   if (pending_ || !backlog_.empty()) {
-    backlog_.push_back(req);
+    backlog_.push_back(std::move(req));
   } else {
-    start_local_request(req);
+    start_local_request(std::move(req));
   }
 }
 
 void HlsEngine::pump_backlog() {
   while (!pending_ && !backlog_.empty()) {
-    PendingLocal req = backlog_.front();
+    PendingLocal req = std::move(backlog_.front());
     backlog_.pop_front();
-    start_local_request(req);
+    start_local_request(std::move(req));
   }
 }
 
 void HlsEngine::resolve_pending_with_grant(Mode mode) {
-  const PendingLocal req = *pending_;
+  PendingLocal req = std::move(*pending_);
   pending_.reset();
-  if (req.upgrade) {
-    set_hold(req.id, Mode::kW);
-    upgrading_hold_.reset();
-    if (callbacks_.on_upgraded) callbacks_.on_upgraded(req.id);
-  } else {
-    admit_local(req.id, mode);
-  }
+  // An upgrade's grant always leaves the hold W (Rule 7).
+  admit_local(req, req.upgrade ? Mode::kW : mode);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,11 +20,17 @@
 //   FREEZE   — root -> potential granters: replacement frozen-mode set
 //              (Rule 6 / Table 2(b)) preserving FIFO fairness
 //
-// Threading contract: an engine is single-threaded. Callbacks
-// (on_acquired / on_upgraded) may fire synchronously from inside an API
-// call or handle(); they MUST NOT re-enter the engine — schedule follow-up
-// work on your event loop instead (CP.con: keep the lock discipline in one
-// place). Both the simulator and the TCP node runner obey this.
+// Grant delivery: every request_lock() / upgrade() carries its own
+// continuation, and the engine calls exactly that one when the request is
+// granted — so a caller never has to match a grant back to its request,
+// however many locks and requests it has outstanding.
+//
+// Threading contract: an engine is single-threaded. A continuation may
+// fire synchronously from inside the API call that issued it (before
+// request_lock() returns) or from handle(); it MUST NOT re-enter the
+// engine — schedule follow-up work on your event loop instead (CP.con:
+// keep the lock discipline in one place). Both the simulator and the TCP
+// node runner obey this.
 #pragma once
 
 #include <array>
@@ -86,13 +92,9 @@ struct EngineOptions {
   bool operator==(const EngineOptions&) const = default;
 };
 
-/// Application-facing notifications.
-struct EngineCallbacks {
-  /// A request issued via request_lock() has been granted in `mode`.
-  std::function<void(RequestId, Mode)> on_acquired;
-  /// An upgrade issued via upgrade() completed; the hold is now W.
-  std::function<void(RequestId)> on_upgraded;
-};
+/// A request's continuation: called once, with the request's id and the
+/// granted mode (kW for an upgrade), when that request is granted.
+using GrantFn = std::function<void(RequestId, Mode)>;
 
 class HlsEngine {
  public:
@@ -102,7 +104,6 @@ class HlsEngine {
   /// else directly at the root (star, as after full path compression).
   HlsEngine(LockId lock, NodeId self, NodeId initial_token_holder,
             Transport& transport, EngineOptions opts = {},
-            EngineCallbacks callbacks = {},
             NodeId initial_parent = NodeId::invalid());
 
   HlsEngine(const HlsEngine&) = delete;
@@ -111,27 +112,31 @@ class HlsEngine {
   // ---- application API -------------------------------------------------
 
   /// Request the lock in `mode` (any real mode). Returns the request id;
-  /// on_acquired fires when granted (possibly synchronously, see the
-  /// threading contract above). Requests from one node are served in issue
-  /// order. `priority` only matters with EngineOptions::enable_priorities.
-  RequestId request_lock(Mode mode, std::uint8_t priority = 0);
+  /// `on_granted` fires once when it is granted (possibly synchronously,
+  /// with the id about to be returned — see the threading contract above).
+  /// Requests from one node are served in issue order. `priority` only
+  /// matters with EngineOptions::enable_priorities.
+  RequestId request_lock(Mode mode, GrantFn on_granted,
+                         std::uint8_t priority = 0);
 
   /// Non-blocking attempt: acquire `mode` only if Rule 2 admits it with
   /// zero messages (sufficient owned mode, compatible, not frozen, no
   /// earlier local request outstanding). Returns the hold's id on success,
   /// nothing otherwise; never sends a message. This is the semantics the
-  /// CosConcurrency-style facade exposes as try_lock.
+  /// CosConcurrency-style facade exposes as try_lock. Fires no
+  /// continuation: the return value is the grant.
   std::optional<RequestId> try_request_lock(Mode mode);
 
-  /// Release a hold previously granted through on_acquired.
+  /// Release a hold (a granted request_lock() or try_request_lock()).
   void unlock(RequestId id);
 
   /// Cancel a request that has not been granted yet. Returns true if the
   /// request will never be granted (removed from backlog, or marked so an
   /// eventual grant is auto-released silently); false if it was already
-  /// granted (the caller owns a hold and must unlock it). Cancellation
-  /// never sends messages — a remote queue entry simply gets its grant
-  /// absorbed when it arrives.
+  /// granted (the caller owns a hold and must unlock it). On true the
+  /// request's continuation is dropped unfired. Cancellation never sends
+  /// messages — a remote queue entry simply gets its grant absorbed when
+  /// it arrives.
   bool cancel(RequestId id);
 
   /// Atomically weaken a hold to `mode` (safe_downgrade(held, mode) must
@@ -140,8 +145,9 @@ class HlsEngine {
   void downgrade(RequestId id, Mode mode);
 
   /// Rule 7: atomically upgrade a held U lock to W without releasing U.
-  /// `id` must currently hold U. on_upgraded fires when the hold is W.
-  void upgrade(RequestId id);
+  /// `id` must currently hold U. `on_granted` fires with (id, kW) when
+  /// the hold is W (possibly synchronously).
+  void upgrade(RequestId id, GrantFn on_granted);
 
   /// Dynamic membership: gracefully depart this lock's tree. Requires no
   /// holds and no outstanding local requests (drain first). Children are
@@ -240,6 +246,9 @@ class HlsEngine {
     LamportStamp stamp{};
     bool upgrade{false};
     std::uint8_t priority{0};
+    /// Cancelled while in flight: the grant is absorbed and released.
+    bool cancelled{false};
+    GrantFn on_granted;
   };
 
   // -- derived state helpers (all O(1): computed from the per-mode count
@@ -277,7 +286,9 @@ class HlsEngine {
 
   // -- local request plumbing --
   void start_local_request(PendingLocal req);
-  void admit_local(RequestId id, Mode mode);
+  /// Record the hold and fire the request's continuation (or, when it
+  /// was cancelled in flight, release the hold at once).
+  void admit_local(PendingLocal& req, Mode mode);
   void resolve_pending_with_grant(Mode mode);
   void pump_backlog();
 
@@ -337,7 +348,6 @@ class HlsEngine {
   const NodeId self_;
   Transport& transport_;
   const EngineOptions opts_;
-  EngineCallbacks callbacks_;
 
   // -- tree / token state --
   // All per-peer tables below are flat sorted vectors (common/flat_map.hpp)
@@ -376,8 +386,6 @@ class HlsEngine {
   FlatMap<NodeId, std::uint64_t> grants_received_;
   /// Pending upgrade bookkeeping: the hold being upgraded.
   std::optional<RequestId> upgrading_hold_;
-  /// Requests cancelled while in flight: their grant is absorbed.
-  FlatSet<RequestId> cancelled_;
 
   /// Tombstone state after leave(): parent_ holds the forwarding target.
   bool departed_{false};

@@ -9,16 +9,8 @@ HlsNode::HlsNode(NodeId self, Transport& transport, EngineOptions opts)
 
 HlsEngine& HlsNode::add_lock(LockId lock, NodeId initial_holder,
                              NodeId initial_parent) {
-  EngineCallbacks cbs;
-  cbs.on_acquired = [this, lock](RequestId id, Mode mode) {
-    if (on_acquired_) on_acquired_(lock, id, mode);
-  };
-  cbs.on_upgraded = [this, lock](RequestId id) {
-    if (on_upgraded_) on_upgraded_(lock, id);
-  };
-  auto engine =
-      std::make_unique<HlsEngine>(lock, self_, initial_holder, transport_,
-                                  opts_, std::move(cbs), initial_parent);
+  auto engine = std::make_unique<HlsEngine>(
+      lock, self_, initial_holder, transport_, opts_, initial_parent);
   engine->set_cluster_map(cluster_map_);
   if (recovery_view_ != 0) {
     // Materialized after a recovery: adopt the committed view or every

@@ -1,6 +1,7 @@
 // HlsNode — one per participant: owns an HlsEngine per lock object and
-// demultiplexes incoming messages by lock id. The application sees a
-// single pair of callbacks tagged with the lock.
+// demultiplexes incoming messages by lock id. Grants need no routing
+// here: each request carries its own continuation into its lock's engine
+// (HlsEngine::request_lock).
 #pragma once
 
 #include <functional>
@@ -17,9 +18,6 @@ namespace hlock::core {
 
 class HlsNode {
  public:
-  using AcquiredFn = std::function<void(LockId, RequestId, Mode)>;
-  using UpgradedFn = std::function<void(LockId, RequestId)>;
-
   HlsNode(NodeId self, Transport& transport, EngineOptions opts = {});
 
   /// Instantiate the engine for `lock`; `initial_holder` seeds the token
@@ -70,9 +68,6 @@ class HlsNode {
   /// Route one incoming message to its lock's engine.
   void handle(const Message& m);
 
-  void set_on_acquired(AcquiredFn fn) { on_acquired_ = std::move(fn); }
-  void set_on_upgraded(UpgradedFn fn) { on_upgraded_ = std::move(fn); }
-
   [[nodiscard]] NodeId self() const { return self_; }
   [[nodiscard]] std::size_t lock_count() const { return engines_.size(); }
 
@@ -89,8 +84,6 @@ class HlsNode {
   NodeId self_;
   Transport& transport_;
   EngineOptions opts_;
-  AcquiredFn on_acquired_;
-  UpgradedFn on_upgraded_;
   std::function<NodeId(LockId)> lazy_holder_;
   const ClusterMap* cluster_map_{nullptr};
   /// Last committed recovery view (0 = none); adopted by engines that

@@ -18,10 +18,7 @@ const char* to_string(OpKind k) {
 NaimiSession::NaimiSession(naimi::NaimiNode& node,
                            const ResourceLayout& layout, Executor& executor,
                            bool pure)
-    : node_(node), layout_(layout), exec_(executor), pure_(pure) {
-  node_.set_on_acquired(
-      [this](LockId lock, RequestId id) { on_acquired(lock, id); });
-}
+    : node_(node), layout_(layout), exec_(executor), pure_(pure) {}
 
 void NaimiSession::start(const Op& op, DoneFn done) {
   if (busy()) throw std::logic_error("session already executing an op");
@@ -45,7 +42,9 @@ void NaimiSession::start(const Op& op, DoneFn done) {
 }
 
 void NaimiSession::acquire_next() {
-  (void)node_.engine(plan_[held_.size()]).request();
+  const LockId lock = plan_[held_.size()];
+  (void)node_.engine(lock).request(
+      [this, lock](RequestId id) { on_acquired(lock, id); });
 }
 
 void NaimiSession::on_acquired(LockId lock, RequestId id) {

@@ -9,8 +9,8 @@
 //               original workload of [14]
 //
 // (The paper's protocol runs on SessionMux.) The session obeys the
-// engines' threading contract: protocol callbacks only record state and
-// schedule continuations on the Executor.
+// engines' threading contract: grant continuations only record state and
+// schedule follow-up work on the Executor.
 #pragma once
 
 #include <vector>
@@ -25,10 +25,10 @@ namespace hlock::lockmgr {
 
 class NaimiSession {
  public:
-  /// Takes over the node's acquisition callback; one session per node.
+  /// One session per node.
   NaimiSession(naimi::NaimiNode& node, const ResourceLayout& layout,
                Executor& executor, bool pure);
-  /// The node's callback holds `this`.
+  /// In-flight requests' continuations hold `this`.
   NaimiSession(const NaimiSession&) = delete;
   NaimiSession& operator=(const NaimiSession&) = delete;
 

@@ -32,11 +32,6 @@ SessionMux::SessionMux(core::HlsNode& node, Executor& executor,
                        std::uint32_t sessions)
     : node_(node), layout_(nullptr), exec_(executor), clients_(sessions) {
   if (sessions == 0) throw std::invalid_argument("need >= 1 session");
-  node_.set_on_acquired([this](LockId lock, RequestId id, Mode /*mode*/) {
-    on_acquired(lock, id);
-  });
-  node_.set_on_upgraded(
-      [this](LockId lock, RequestId id) { on_upgraded(lock, id); });
 }
 
 SessionMux::Client& SessionMux::idle_client(std::uint32_t sid) {
@@ -89,7 +84,6 @@ void SessionMux::begin(std::uint32_t sid, const Op& op, bool upgrade,
   c.keep = keep;
   c.done = std::move(done);
   c.held.clear();
-  c.pending = RequestId{};
   c.started = exec_.now();
   c.acquire_latency = 0;
   c.lock_requests = 0;
@@ -118,39 +112,19 @@ void SessionMux::drain_gate() {
 }
 
 void SessionMux::issue(std::uint32_t sid) {
-  // One issuing slot: acquire()'s done, which may run inside
-  // request_lock, must not start another plan on this mux from there.
-  if (issuing_.active)
+  // The engines are not re-entrant: acquire()'s done, which may run
+  // inside request_lock, must not start another plan on this mux there.
+  if (issuing_)
     throw std::logic_error("plan step issued from inside request_lock");
   Client& c = clients_[sid];
   const PlanStep step = c.plan[c.held.size()];
   ++c.lock_requests;
-  issuing_ = Issuing{true, false, sid, step.lock};
-  const RequestId rid = node_.engine(step.lock).request_lock(step.mode);
-  issuing_.active = false;
-  // A synchronous grant already bound (and possibly advanced) this
-  // request inside on_acquired; only a still-pending one is recorded.
-  if (!issuing_.bound) c.pending = rid;
-}
-
-void SessionMux::on_acquired(LockId lock, RequestId id) {
-  for (std::uint32_t sid = 0; sid < clients_.size(); ++sid) {
-    Client& c = clients_[sid];
-    if (c.pending == id && c.phase == Phase::kAcquiring &&
-        c.plan[c.held.size()].lock == lock) {
-      c.pending = RequestId{};
-      grant(sid, lock, id);
-      return;
-    }
-  }
-  if (issuing_.active && !issuing_.bound && lock == issuing_.lock) {
-    // Synchronous grant for the request_lock call currently on the
-    // stack: its id reaches us before issue() could learn it.
-    issuing_.bound = true;
-    grant(issuing_.sid, lock, id);
-    return;
-  }
-  throw std::logic_error("grant for an unrouted (lock, request) pair");
+  issuing_ = true;
+  (void)node_.engine(step.lock).request_lock(
+      step.mode, [this, sid, lock = step.lock](RequestId id, Mode /*mode*/) {
+        grant(sid, lock, id);
+      });
+  issuing_ = false;
 }
 
 void SessionMux::grant(std::uint32_t sid, LockId lock, RequestId id) {
@@ -182,25 +156,21 @@ void SessionMux::grant(std::uint32_t sid, LockId lock, RequestId id) {
 void SessionMux::leave_cs(std::uint32_t sid) {
   Client& c = clients_[sid];
   if (c.upgrade && c.phase == Phase::kInCs) {
-    // The completion reuses the held request id, which routes it back.
     c.phase = Phase::kWaitUpgrade;
-    node_.engine(c.plan.back().lock).upgrade(c.held.back());
+    node_.engine(c.plan.back().lock)
+        .upgrade(c.held.back(),
+                 [this, sid](RequestId /*id*/, Mode /*mode*/) { upgraded(sid); });
     return;
   }
   finish(sid);
 }
 
-void SessionMux::on_upgraded(LockId lock, RequestId id) {
-  for (std::uint32_t sid = 0; sid < clients_.size(); ++sid) {
-    Client& c = clients_[sid];
-    if (c.phase == Phase::kWaitUpgrade && c.held.back() == id &&
-        c.plan.back().lock == lock) {
-      c.phase = Phase::kInCs2;
-      exec_.schedule(c.op.cs - c.op.cs / 2, [this, sid] { leave_cs(sid); });
-      return;
-    }
-  }
-  throw std::logic_error("upgrade completion for an unrouted pair");
+void SessionMux::upgraded(std::uint32_t sid) {
+  Client& c = clients_[sid];
+  if (c.phase != Phase::kWaitUpgrade)
+    throw std::logic_error("upgrade completion for a session not upgrading");
+  c.phase = Phase::kInCs2;
+  exec_.schedule(c.op.cs - c.op.cs / 2, [this, sid] { leave_cs(sid); });
 }
 
 void SessionMux::finish(std::uint32_t sid) {

@@ -23,16 +23,9 @@
 // Either way `done` receives the op's OpStats. A mux built without a
 // ResourceLayout serves only the plan calls.
 //
-// Demultiplexing: HlsNode exposes a single pair of acquisition callbacks
-// tagged (LockId, RequestId, Mode). Request ids are only unique per
-// engine — engines mint `(node << 32) | counter` independently — so a
-// grant is routed to the session whose pending (lock, request) record
-// matches the PAIR, never the request id alone; an upgrade completion to
-// the session whose held record matches. Grants may also fire
-// synchronously from inside request_lock(), before the id could be
-// recorded: the mux keeps an "issuing slot" naming the session whose
-// request_lock call is on the stack, and a grant that matches no pending
-// record binds to that slot. With one session, routing is one compare.
+// Each request_lock() / upgrade() carries a continuation naming its
+// session, so a grant lands on the session that asked, with no lookup —
+// also when it fires synchronously inside request_lock().
 //
 // Local upgrade gate: the engine runs ONE outstanding local request at a
 // time; anything else backlogs behind it in FIFO order. A U-holder's
@@ -76,15 +69,15 @@ namespace hlock::lockmgr {
 
 class SessionMux {
  public:
-  /// Takes over `node`'s acquisition callbacks (one mux per node).
   /// `sessions` logical clients, addressed 0..sessions-1; start() maps
-  /// its ops onto `layout`'s locks.
+  /// its ops onto `layout`'s locks. One mux per node: the local upgrade
+  /// gate only sees this mux's ops.
   SessionMux(core::HlsNode& node, const ResourceLayout& layout,
              Executor& executor, std::uint32_t sessions);
   /// A mux for plan callers only: run(), acquire() and release().
   SessionMux(core::HlsNode& node, Executor& executor,
              std::uint32_t sessions = 1);
-  /// The node's callbacks hold `this`.
+  /// In-flight requests' continuations hold `this`.
   SessionMux(const SessionMux&) = delete;
   SessionMux& operator=(const SessionMux&) = delete;
 
@@ -138,21 +131,10 @@ class SessionMux {
     Op op{};              ///< reported in OpStats; op.cs is the dwell
     std::vector<PlanStep> plan;
     std::vector<RequestId> held;  ///< granted ids, one per step so far
-    /// Id of the step in flight once request_lock() returned it; invalid
-    /// while none is (or it was granted synchronously).
-    RequestId pending{};
     DoneFn done;
     TimePoint started{0};
     Duration acquire_latency{0};
     std::uint32_t lock_requests{0};
-  };
-
-  /// The session whose request_lock() call is on the stack.
-  struct Issuing {
-    bool active{false};
-    bool bound{false};  ///< a synchronous grant already claimed it
-    std::uint32_t sid{0};
-    LockId lock{};
   };
 
   Client& idle_client(std::uint32_t sid);
@@ -160,9 +142,8 @@ class SessionMux {
              DoneFn done);
   void drain_gate();
   void issue(std::uint32_t sid);
-  void on_acquired(LockId lock, RequestId id);
-  void on_upgraded(LockId lock, RequestId id);
   void grant(std::uint32_t sid, LockId lock, RequestId id);
+  void upgraded(std::uint32_t sid);
   void leave_cs(std::uint32_t sid);
   void finish(std::uint32_t sid);
 
@@ -170,7 +151,8 @@ class SessionMux {
   const ResourceLayout* layout_;  ///< null for a plan-only mux
   Executor& exec_;
   std::vector<Client> clients_;
-  Issuing issuing_;
+  /// True while issue() is inside request_lock().
+  bool issuing_{false};
   /// Local upgrade gate (see file comment): sessions parked in start
   /// order, plus counts of admitted (issued, unfinished) and upgrade ops.
   std::deque<std::uint32_t> gate_queue_;

@@ -6,11 +6,10 @@
 namespace hlock::naimi {
 
 NaimiEngine::NaimiEngine(LockId lock, NodeId self, NodeId initial_token_holder,
-                         Transport& transport, NaimiCallbacks callbacks)
+                         Transport& transport)
     : lock_(lock),
       self_(self),
       transport_(transport),
-      callbacks_(std::move(callbacks)),
       father_(self == initial_token_holder ? NodeId::invalid()
                                            : initial_token_holder),
       has_token_(self == initial_token_holder) {
@@ -24,25 +23,26 @@ void NaimiEngine::send(NodeId to, Message m) {
   transport_.send(to, std::move(m));
 }
 
-RequestId NaimiEngine::request() {
+RequestId NaimiEngine::request(GrantFn on_granted) {
   const RequestId id{(static_cast<std::uint64_t>(self_.value) << 32) |
                      next_request_++};
+  Pending req{id, std::move(on_granted)};
   if (requesting_ || waiting_) {
-    backlog_.push_back(id);
+    backlog_.push_back(std::move(req));
   } else {
-    start_request(id);
+    start_request(std::move(req));
   }
   return id;
 }
 
-void NaimiEngine::start_request(RequestId id) {
+void NaimiEngine::start_request(Pending req) {
   requesting_ = true;
   if (!father_.valid()) {
     // We are the root and idle: the token is already here.
-    enter_cs(id);
+    enter_cs(std::move(req));
     return;
   }
-  waiting_ = id;
+  waiting_ = std::move(req);
   Message m;
   m.kind = MsgKind::kNaimiRequest;
   m.req.requester = self_;
@@ -50,10 +50,10 @@ void NaimiEngine::start_request(RequestId id) {
   father_ = NodeId::invalid();  // we will be the root once served
 }
 
-void NaimiEngine::enter_cs(RequestId id) {
-  current_ = id;
+void NaimiEngine::enter_cs(Pending req) {
+  current_ = req.id;
   waiting_.reset();
-  if (callbacks_.on_acquired) callbacks_.on_acquired(id);
+  if (req.on_granted) req.on_granted(req.id);
 }
 
 void NaimiEngine::release(RequestId id) {
@@ -73,9 +73,9 @@ void NaimiEngine::release(RequestId id) {
 
 void NaimiEngine::pump_backlog() {
   if (requesting_ || waiting_ || backlog_.empty()) return;
-  const RequestId id = backlog_.front();
+  Pending req = std::move(backlog_.front());
   backlog_.pop_front();
-  start_request(id);
+  start_request(std::move(req));
 }
 
 void NaimiEngine::handle(const Message& m) {
@@ -106,7 +106,7 @@ void NaimiEngine::handle(const Message& m) {
     case MsgKind::kNaimiToken: {
       has_token_ = true;
       if (!waiting_) throw std::logic_error("token without a waiting request");
-      enter_cs(*waiting_);
+      enter_cs(std::move(*waiting_));
       return;
     }
     default:

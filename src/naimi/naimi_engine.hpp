@@ -11,8 +11,8 @@
 // is exactly what the "Naimi same work" configuration has to compensate
 // for by acquiring all entry locks in order.
 //
-// Threading contract matches HlsEngine: single-threaded, callbacks must
-// not re-enter the engine.
+// Threading contract matches HlsEngine: single-threaded; each request
+// carries its own continuation, which must not re-enter the engine.
 #pragma once
 
 #include <cstdint>
@@ -25,23 +25,22 @@
 
 namespace hlock::naimi {
 
-struct NaimiCallbacks {
-  /// The critical section may be entered (possibly synchronously from
-  /// request() or handle()).
-  std::function<void(RequestId)> on_acquired;
-};
+/// A request's continuation: the critical section for that request may
+/// be entered (possibly synchronously from request() or handle()).
+using GrantFn = std::function<void(RequestId)>;
 
 class NaimiEngine {
  public:
   NaimiEngine(LockId lock, NodeId self, NodeId initial_token_holder,
-              Transport& transport, NaimiCallbacks callbacks = {});
+              Transport& transport);
 
   NaimiEngine(const NaimiEngine&) = delete;
   NaimiEngine& operator=(const NaimiEngine&) = delete;
 
-  /// Request the (exclusive) lock. Multiple outstanding local requests are
-  /// served in issue order.
-  RequestId request();
+  /// Request the (exclusive) lock; `on_granted` fires once when the
+  /// request enters the critical section. Multiple outstanding local
+  /// requests are served in issue order.
+  RequestId request(GrantFn on_granted);
 
   /// Leave the critical section entered for `id`.
   void release(RequestId id);
@@ -59,15 +58,20 @@ class NaimiEngine {
   [[nodiscard]] std::size_t backlog_size() const { return backlog_.size(); }
 
  private:
-  void start_request(RequestId id);
-  void enter_cs(RequestId id);
+  /// A local request and its continuation.
+  struct Pending {
+    RequestId id{};
+    GrantFn on_granted;
+  };
+
+  void start_request(Pending req);
+  void enter_cs(Pending req);
   void pump_backlog();
   void send(NodeId to, Message m);
 
   const LockId lock_;
   const NodeId self_;
   Transport& transport_;
-  NaimiCallbacks callbacks_;
 
   /// Probable owner; invalid means "I am the root / last requester".
   NodeId father_;
@@ -78,8 +82,8 @@ class NaimiEngine {
   bool requesting_{false};
 
   std::optional<RequestId> current_;   ///< hold currently in the CS
-  std::optional<RequestId> waiting_;   ///< local request in the protocol
-  std::deque<RequestId> backlog_;
+  std::optional<Pending> waiting_;     ///< local request in the protocol
+  std::deque<Pending> backlog_;
   std::uint64_t next_request_{1};
 };
 

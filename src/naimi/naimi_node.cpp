@@ -8,12 +8,8 @@ NaimiNode::NaimiNode(NodeId self, Transport& transport)
     : self_(self), transport_(transport) {}
 
 NaimiEngine& NaimiNode::add_lock(LockId lock, NodeId initial_holder) {
-  NaimiCallbacks cbs;
-  cbs.on_acquired = [this, lock](RequestId id) {
-    if (on_acquired_) on_acquired_(lock, id);
-  };
-  auto engine = std::make_unique<NaimiEngine>(lock, self_, initial_holder,
-                                              transport_, std::move(cbs));
+  auto engine =
+      std::make_unique<NaimiEngine>(lock, self_, initial_holder, transport_);
   auto [it, inserted] = engines_.emplace(lock, std::move(engine));
   if (!inserted) throw std::logic_error("lock added twice");
   if (lock.value < kDenseLockLimit) {

@@ -1,5 +1,6 @@
 // NaimiNode — per-participant multiplexer over one NaimiEngine per lock,
-// mirroring core::HlsNode for the baseline protocol.
+// mirroring core::HlsNode for the baseline protocol (grants go straight to
+// each request's continuation).
 #pragma once
 
 #include <functional>
@@ -15,8 +16,6 @@ namespace hlock::naimi {
 
 class NaimiNode {
  public:
-  using AcquiredFn = std::function<void(LockId, RequestId)>;
-
   NaimiNode(NodeId self, Transport& transport);
 
   NaimiEngine& add_lock(LockId lock, NodeId initial_holder);
@@ -34,13 +33,11 @@ class NaimiNode {
     if (ids > dense_.size()) dense_.resize(ids, nullptr);
   }
 
-  void set_on_acquired(AcquiredFn fn) { on_acquired_ = std::move(fn); }
   [[nodiscard]] NodeId self() const { return self_; }
 
  private:
   NodeId self_;
   Transport& transport_;
-  AcquiredFn on_acquired_;
   std::function<NodeId(LockId)> lazy_holder_;
   FlatMap<LockId, std::unique_ptr<NaimiEngine>> engines_;
   /// O(1) dispatch cache for small (dense) lock ids, mirroring HlsNode:

@@ -34,6 +34,12 @@ constexpr std::size_t kMaxBatchBytes = 256 * 1024;
 /// before it is sent as a standalone kAck frame.
 constexpr Duration kAckPiggybackWait = msec(1);
 
+/// recv() calls per readable wake-up (64 KiB each). The burst is decoded
+/// and acked before the next one; poll() is level-triggered and timers
+/// run before fd callbacks, so a fast sender cannot keep acks and pings
+/// from leaving by filling its whole send window in one burst.
+constexpr int kMaxReadsPerWake = 4;
+
 void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
 }
@@ -600,9 +606,14 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
 
   const bool hangup = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
   bool dead = false;
+  bool capped = false;  // stopped at kMaxReadsPerWake, more may be queued
   if ((revents & POLLIN) != 0 || hangup) {
     std::uint8_t buf[65536];
-    for (;;) {
+    for (int reads = 0;; ++reads) {
+      if (reads == kMaxReadsPerWake) {
+        capped = true;
+        break;
+      }
       const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
       if (n > 0) {
         stats_.bytes_in.fetch_add(static_cast<std::uint64_t>(n), kRelax);
@@ -649,10 +660,11 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
       }
     }
   }
-  if (dead || hangup) {
+  if (dead || (hangup && !capped)) {
     // Even when recv() reported EAGAIN (e.g. POLLHUP with a drained read
     // buffer), a hangup means this connection is finished — without this
-    // close the watch would linger and never fire progress again.
+    // close the watch would linger and never fire progress again. A
+    // capped burst is finished first: the hangup stays level-triggered.
     close_conn(fd);
     return;
   }

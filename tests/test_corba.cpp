@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -223,6 +226,66 @@ TEST(CorbaService, LeaveWithLiveHoldsIsRefused) {
   const auto ha = a.lock(LockMode::kRead);
   EXPECT_THROW(f.services[0]->leave(kTable, NodeId{1}), std::logic_error);
   a.unlock(ha);
+}
+
+TEST(CorbaService, GrantWakesTheRequestThatAskedAcrossLockSets) {
+  // Request ids are only unique per engine: node 1's first request on
+  // lock 0 and its first request on lock 1 carry the same id. The grant
+  // for lock 0 must still wake the thread that asked for lock 0.
+  net::InProcessCluster cluster(2);
+  std::vector<std::unique_ptr<ConcurrencyService>> services;
+  for (std::size_t i = 0; i < 2; ++i) {
+    services.push_back(std::make_unique<ConcurrencyService>(cluster.node(i)));
+    services.back()->create_lock_set(LockId{0}, NodeId{0});
+    services.back()->create_lock_set(LockId{1}, NodeId{0});
+  }
+  LockSet held0 = services[0]->lock_set(LockId{0});
+  LockSet held1 = services[0]->lock_set(LockId{1});
+  const LockHandle w0 = held0.lock(LockMode::kWrite);
+  const LockHandle w1 = held1.lock(LockMode::kWrite);
+
+  // Every wait is bounded, so a misrouted grant fails instead of hanging.
+  std::optional<LockHandle> got_a;
+  std::optional<LockHandle> got_b;
+  std::string error_a;
+  std::string error_b;
+  const auto attempt = [&](LockId lock, Duration timeout,
+                           std::optional<LockHandle>& got,
+                           std::string& error) {
+    try {
+      got = services[1]->lock_set(lock).try_lock_for(LockMode::kWrite,
+                                                      timeout);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  };
+  std::thread a([&] { attempt(LockId{0}, msec(3000), got_a, error_a); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::thread b([&] { attempt(LockId{1}, msec(1500), got_b, error_b); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  held0.unlock(w0);  // grants A; node 0 still holds W on lock 1
+  a.join();
+  b.join();
+
+  EXPECT_EQ(error_a, "");
+  EXPECT_EQ(error_b, "");
+  ASSERT_TRUE(got_a.has_value());
+  EXPECT_EQ(got_a->lock, LockId{0});
+  EXPECT_EQ(got_a->mode, Mode::kW);
+  EXPECT_FALSE(got_b.has_value()) << "B woke holding lock "
+                                  << got_b->lock;
+
+  // B's cancelled request leaves nothing behind: once node 0 lets go,
+  // lock 1 changes hands both ways.
+  held1.unlock(w1);
+  if (got_a) services[1]->lock_set(LockId{0}).unlock(*got_a);
+  LockSet mine1 = services[1]->lock_set(LockId{1});
+  const auto h1 = mine1.try_lock_for(LockMode::kWrite, msec(5000));
+  ASSERT_TRUE(h1.has_value());
+  mine1.unlock(*h1);
+  const auto back = held1.try_lock_for(LockMode::kWrite, msec(5000));
+  ASSERT_TRUE(back.has_value());
+  held1.unlock(*back);
 }
 
 }  // namespace

@@ -127,18 +127,19 @@ TEST(DeadlockMonitor, DetectsCrossLockOrderingDeadlock) {
   auto& n2 = cluster.node(2);
   const LockId la{1}, lb{2};
 
-  n1.set_on_acquired([&](LockId lock, RequestId, Mode) {
-    if (lock == la) {
-      sim.schedule_after(msec(1), [&] { (void)n1.engine(lb).request_lock(Mode::kW); });
-    }
-  });
-  n2.set_on_acquired([&](LockId lock, RequestId, Mode) {
-    if (lock == lb) {
-      sim.schedule_after(msec(1), [&] { (void)n2.engine(la).request_lock(Mode::kW); });
-    }
-  });
-  sim.schedule_at(0, [&] { (void)n1.engine(la).request_lock(Mode::kW); });
-  sim.schedule_at(0, [&] { (void)n2.engine(lb).request_lock(Mode::kW); });
+  // W on `first`, then (once granted) W on `second`.
+  const auto w_then_w = [&sim](core::HlsNode& n, LockId first,
+                               LockId second) {
+    core::HlsNode* node = &n;
+    (void)n.engine(first).request_lock(
+        Mode::kW, [&sim, node, second](RequestId, Mode) {
+          sim.schedule_after(msec(1), [node, second] {
+            (void)node->engine(second).request_lock(Mode::kW, {});
+          });
+        });
+  };
+  sim.schedule_at(0, [&] { w_then_w(n1, la, lb); });
+  sim.schedule_at(0, [&] { w_then_w(n2, lb, la); });
   sim.run_all();
 
   // Both are stuck waiting on each other; the monitor must see the cycle.

@@ -24,16 +24,18 @@ struct StarvationRig {
     for (std::size_t i = 0; i <= readers; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode mode) {
-        on_acquired(i, rid, mode);
-      };
       engines.push_back(std::make_unique<HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), opts,
-          std::move(cbs)));
+          LockId{0}, id, NodeId{0}, *transports.back(), opts));
       HlsEngine* raw = engines.back().get();
       net.register_node(id, [raw](const Message& m) { raw->handle(m); });
     }
+  }
+
+  void request(std::size_t node, Mode mode) {
+    (void)engines[node]->request_lock(
+        mode, [this, node](RequestId rid, Mode granted) {
+          on_acquired(node, rid, granted);
+        });
   }
 
   void on_acquired(std::size_t node, RequestId rid, Mode mode) {
@@ -48,7 +50,7 @@ struct StarvationRig {
       engines[node]->unlock(rid);
       if (sim.now() < stop_at) {
         sim.schedule_after(msec(2), [this, node] {
-          (void)engines[node]->request_lock(Mode::kIR);
+          request(node, Mode::kIR);
         });
       }
     });
@@ -58,11 +60,11 @@ struct StarvationRig {
     for (std::size_t i = 1; i < engines.size(); ++i) {
       if (i == writer_node) continue;
       sim.schedule_at(msec(static_cast<std::int64_t>(i)), [this, i] {
-        (void)engines[i]->request_lock(Mode::kIR);
+        request(i, Mode::kIR);
       });
     }
     sim.schedule_at(write_at, [this, writer_node] {
-      (void)engines[writer_node]->request_lock(Mode::kW);
+      request(writer_node, Mode::kW);
     });
     sim.run_all();
     return writer_granted.value_or(-1);

@@ -32,27 +32,33 @@ TEST_P(EngineFuzz, MutualExclusionUnderRandomInterleavings) {
 
   testing::TestBus bus;
   std::vector<std::unique_ptr<HlsEngine>> engines;
-  // Per node: live holds and their modes (mirrors of on_acquired).
+  // Per node: live holds and their modes (mirrors of the grants).
   std::vector<std::map<RequestId, Mode>> held(p.nodes);
   std::vector<std::set<RequestId>> upgradeable(p.nodes);
   std::uint64_t issued = 0, granted = 0, upgrades_done = 0;
 
   EngineOptions opts;
   opts.enable_priorities = p.priorities;
-  for (std::size_t i = 0; i < p.nodes; ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) {
+  // Continuations for node i's requests and upgrades. A grant must
+  // reach its request exactly once, so it never finds its id held.
+  const auto on_granted = [&](std::size_t i) {
+    return [&, i](RequestId rid, Mode mode) {
+      EXPECT_EQ(held[i].count(rid), 0u) << "grant fired twice";
       held[i][rid] = mode;
       if (mode == Mode::kU) upgradeable[i].insert(rid);
       ++granted;
     };
-    cbs.on_upgraded = [&, i](RequestId rid) {
-      held[i][rid] = Mode::kW;
+  };
+  const auto on_upgraded = [&](std::size_t i) {
+    return [&, i](RequestId rid, Mode mode) {
+      held[i][rid] = mode;
       ++upgrades_done;
     };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), opts, std::move(cbs)));
+  };
+  for (std::size_t i = 0; i < p.nodes; ++i) {
+    const NodeId id{static_cast<std::uint32_t>(i)};
+    engines.push_back(std::make_unique<HlsEngine>(LockId{0}, id, NodeId{0},
+                                                  bus.port(id), opts));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
   }
@@ -80,7 +86,7 @@ TEST_P(EngineFuzz, MutualExclusionUnderRandomInterleavings) {
       if (engines[i]->backlog_size() < 3) {
         const Mode mode = kRealModes[rng.next_below(5)];
         const auto prio = static_cast<std::uint8_t>(rng.next_below(4));
-        (void)engines[i]->request_lock(mode, prio);
+        (void)engines[i]->request_lock(mode, on_granted(i), prio);
         ++issued;
       }
     } else if (dice < 0.65) {
@@ -104,7 +110,7 @@ TEST_P(EngineFuzz, MutualExclusionUnderRandomInterleavings) {
         const RequestId rid = *upgradeable[i].begin();
         upgradeable[i].erase(rid);
         try {
-          engines[i]->upgrade(rid);
+          engines[i]->upgrade(rid, on_upgraded(i));
         } catch (const std::logic_error&) {
         }
       }
@@ -180,14 +186,8 @@ TEST_P(MembershipFuzz, LeavesDuringTrafficStaySafeAndLive) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) {
-      held[i][rid] = mode;
-      ++granted;
-    };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), EngineOptions{},
-        std::move(cbs)));
+    engines.push_back(std::make_unique<HlsEngine>(LockId{0}, id, NodeId{0},
+                                                  bus.port(id)));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
   }
@@ -216,7 +216,11 @@ TEST_P(MembershipFuzz, LeavesDuringTrafficStaySafeAndLive) {
     if (departed[i]) continue;
     if (dice < 0.35) {
       if (engines[i]->backlog_size() < 2) {
-        (void)engines[i]->request_lock(kRealModes[rng.next_below(5)]);
+        (void)engines[i]->request_lock(
+            kRealModes[rng.next_below(5)], [&, i](RequestId rid, Mode mode) {
+              held[i][rid] = mode;
+              ++granted;
+            });
         ++issued;
       }
     } else if (dice < 0.60) {

@@ -19,16 +19,8 @@ NodeId id_of(char c) { return NodeId{static_cast<std::uint32_t>(c - 'A')}; }
 struct Net {
   HlsEngine& add(char name, char root, EngineOptions opts = {},
                  char parent = '\0') {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
-    cbs.on_upgraded = [this, name](RequestId id) {
-      upgraded[name].push_back(id);
-    };
     auto engine = std::make_unique<HlsEngine>(
         LockId{0}, id_of(name), id_of(root), bus.port(id_of(name)), opts,
-        std::move(cbs),
         parent == '\0' ? NodeId::invalid() : id_of(parent));
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
@@ -39,6 +31,21 @@ struct Net {
 
   HlsEngine& operator[](char c) { return *engines.at(c); }
   void pump() { bus.deliver_all(); }
+
+  /// request_lock at `name`, recording the grant in acquired[name].
+  RequestId request(char name, Mode mode) {
+    return engines.at(name)->request_lock(
+        mode, [this, name](RequestId id, Mode granted) {
+          acquired[name].emplace_back(id, granted);
+        });
+  }
+  /// upgrade at `name`, recording the completion in upgraded[name].
+  void upgrade(char name, RequestId id) {
+    engines.at(name)->upgrade(id, [this, name](RequestId done, Mode mode) {
+      EXPECT_EQ(mode, Mode::kW);
+      upgraded[name].push_back(done);
+    });
+  }
 
   testing::TestBus bus;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
@@ -52,8 +59,10 @@ TEST(HlsEngine, TokenNodeSelfAcquiresEveryModeWithoutMessages) {
   for (const Mode m : kRealModes) {
     Net net;
     net.add('A', 'A');
-    const RequestId id = net['A'].request_lock(m);
+    const RequestId id = net.request('A', m);
     EXPECT_EQ(net.acquired['A'].size(), 1u);
+    // The synchronous grant reports the id request_lock() then returns.
+    EXPECT_EQ(net.acquired['A'][0].first, id);
     EXPECT_EQ(net.acquired['A'][0].second, m);
     EXPECT_EQ(net.bus.total_sent(), 0u);
     net['A'].unlock(id);
@@ -65,9 +74,10 @@ TEST(HlsEngine, RemoteRequestCostsRequestPlusGrant) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  (void)net['B'].request_lock(Mode::kIR);
+  const RequestId rb = net.request('B', Mode::kIR);
   net.pump();
-  EXPECT_EQ(net.acquired['B'].size(), 1u);
+  ASSERT_EQ(net.acquired['B'].size(), 1u);
+  EXPECT_EQ(net.acquired['B'][0].first, rb);
   EXPECT_EQ(net.bus.sent(MsgKind::kRequest), 1u);
   // IR is weaker than nothing-held root: ∅ < IR means token transfer.
   EXPECT_EQ(net.bus.sent(MsgKind::kToken), 1u);
@@ -78,8 +88,8 @@ TEST(HlsEngine, CopyGrantWhenRootHoldsEqualMode) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   EXPECT_EQ(net.bus.sent(MsgKind::kGrant), 1u);
   EXPECT_EQ(net.bus.sent(MsgKind::kToken), 0u);
@@ -93,11 +103,11 @@ TEST(HlsEngine, Rule2LocalAcquireUnderOwnedMode) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   const auto sent_before = net.bus.total_sent();
   // B owns R (it took the token): IR is weaker and compatible -> local.
-  (void)net['B'].request_lock(Mode::kIR);
+  (void)net.request('B', Mode::kIR);
   EXPECT_EQ(net.acquired['B'].size(), 2u);
   EXPECT_EQ(net.bus.total_sent(), sent_before);
 }
@@ -106,12 +116,12 @@ TEST(HlsEngine, Rule2IncompatibleOwnModeGoesRemote) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kR);  // root holds R
-  (void)net['B'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);  // root holds R
+  (void)net.request('B', Mode::kR);
   net.pump();
   // B holds R (copy). Requesting IW is incompatible with its own owned R:
   // must go remote (and queue at the root until R drains).
-  (void)net['B'].request_lock(Mode::kIW);
+  (void)net.request('B', Mode::kIW);
   net.pump();
   EXPECT_EQ(net.acquired['B'].size(), 1u);  // not granted yet
   EXPECT_TRUE(net['B'].has_pending());
@@ -131,11 +141,11 @@ TEST(HlsEngine, ChildGrantsWeakerCompatibleRequest) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A', {}, 'B');  // C's probable owner is B
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   const auto requests_before = net.bus.sent(MsgKind::kRequest);
-  (void)net['C'].request_lock(Mode::kIR);
+  (void)net.request('C', Mode::kIR);
   net.pump();
   // B granted it directly: exactly one request hop, no traffic to A.
   EXPECT_EQ(net.bus.sent(MsgKind::kRequest), requests_before + 1);
@@ -152,10 +162,10 @@ TEST(HlsEngine, ChildGrantDisabledForwardsToRoot) {
   net.add('A', 'A', opts);
   net.add('B', 'A', opts);
   net.add('C', 'A', opts, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);
+  (void)net.request('C', Mode::kIR);
   net.pump();
   // C's request forwarded B -> A; the grant comes from the root.
   EXPECT_EQ(net['C'].parent(), id_of('A'));
@@ -169,12 +179,12 @@ TEST(HlsEngine, ChildNeverGrantsStrongerMode) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A', {}, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kU);
-  (void)net['B'].request_lock(Mode::kIR);
+  const RequestId ra = net.request('A', Mode::kU);
+  (void)net.request('B', Mode::kIR);
   net.pump();
   // B owns IR; C asks for R (stronger): B must forward, the root (owning
   // U, compatible with R) grants the copy.
-  (void)net['C'].request_lock(Mode::kR);
+  (void)net.request('C', Mode::kR);
   net.pump();
   EXPECT_EQ(net['C'].parent(), id_of('A'));
   EXPECT_EQ(net.acquired['C'].size(), 1u);
@@ -191,9 +201,9 @@ TEST(HlsEngine, PendingNodeQueuesEqualModeAndServesAfterGrant) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('D', 'A', {}, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);     // in transit
-  (void)net['D'].request_lock(Mode::kR);     // reaches B first
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);     // in transit
+  (void)net.request('D', Mode::kR);     // reaches B first
   ASSERT_EQ(net.bus.pending(), 2u);
   net.bus.deliver_at(1);  // D's request to B: queued
   EXPECT_EQ(net['B'].queue().size(), 1u);
@@ -210,9 +220,9 @@ TEST(HlsEngine, PendingNodeForwardsNonQueueableMode) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('D', 'A', {}, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);
-  (void)net['D'].request_lock(Mode::kIR);  // row R, col IR -> forward
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);
+  (void)net.request('D', Mode::kIR);  // row R, col IR -> forward
   net.bus.deliver_at(1);                   // D's request reaches B
   EXPECT_EQ(net['B'].queue().size(), 0u);  // forwarded, not queued
   net.pump();
@@ -228,9 +238,9 @@ TEST(HlsEngine, LocalQueuesDisabledAlwaysForward) {
   net.add('A', 'A', opts);
   net.add('B', 'A', opts);
   net.add('D', 'A', opts, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);
-  (void)net['D'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);
+  (void)net.request('D', Mode::kR);
   net.bus.deliver_at(1);
   EXPECT_EQ(net['B'].queue().size(), 0u);  // would queue per Table 2(a)
   net.pump();
@@ -245,10 +255,10 @@ TEST(HlsEngine, QueuedIncompatibleRequestFreezesTokenAndChildren) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('D', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kIW);
-  (void)net['B'].request_lock(Mode::kIW);
+  const RequestId ra = net.request('A', Mode::kIW);
+  (void)net.request('B', Mode::kIW);
   net.pump();
-  (void)net['D'].request_lock(Mode::kR);
+  (void)net.request('D', Mode::kR);
   net.pump();
   // Table 2(b): owned IW, queued R -> freeze {IW}; B is a potential
   // granter of IW and must have been notified.
@@ -261,7 +271,7 @@ TEST(HlsEngine, QueuedIncompatibleRequestFreezesTokenAndChildren) {
   (void)probe;
   const auto grants_before = net.bus.sent(MsgKind::kGrant);
   net.add('E', 'A', {}, 'B');
-  (void)net['E'].request_lock(Mode::kIW);  // B owns IW but IW is frozen
+  (void)net.request('E', Mode::kIW);  // B owns IW but IW is frozen
   net.bus.deliver_one();                   // E's request at B
   EXPECT_EQ(net.bus.sent(MsgKind::kGrant), grants_before);  // no grant
   net.pump();
@@ -284,13 +294,13 @@ TEST(HlsEngine, FreezeDisabledAllowsBypass) {
   net.add('A', 'A', opts);
   net.add('B', 'A', opts);
   net.add('D', 'A', opts);
-  const RequestId ra = net['A'].request_lock(Mode::kIW);
-  (void)net['D'].request_lock(Mode::kR);  // queued, no freezing
+  const RequestId ra = net.request('A', Mode::kIW);
+  (void)net.request('D', Mode::kR);  // queued, no freezing
   net.pump();
   EXPECT_TRUE(net['A'].frozen().empty());
   // A new IW request bypasses the queued R (the unfairness the paper's
   // freezing prevents).
-  (void)net['B'].request_lock(Mode::kIW);
+  (void)net.request('B', Mode::kIW);
   net.pump();
   EXPECT_EQ(net.acquired['B'].size(), 1u);
   EXPECT_EQ(net.acquired['D'].size(), 0u);
@@ -304,13 +314,13 @@ TEST(HlsEngine, FreezeBlocksRule2LocalAcquire) {
   Net net;
   net.add('A', 'A');
   net.add('D', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kIW);
-  (void)net['D'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kIW);
+  (void)net.request('D', Mode::kR);
   net.pump();
   ASSERT_TRUE(net['A'].frozen().contains(Mode::kIW));
   // The token node owns IW and would normally self-acquire IW silently;
   // frozen IW forces it into the queue behind D's R.
-  (void)net['A'].request_lock(Mode::kIW);
+  (void)net.request('A', Mode::kIW);
   EXPECT_EQ(net.acquired['A'].size(), 1u);  // only the original hold
   EXPECT_TRUE(net['A'].has_pending());
   net['A'].unlock(ra);
@@ -327,9 +337,11 @@ TEST(HlsEngine, FreezeBlocksRule2LocalAcquire) {
 TEST(HlsEngine, UpgradeImmediateWhenAlone) {
   Net net;
   net.add('A', 'A');
-  const RequestId id = net['A'].request_lock(Mode::kU);
-  net['A'].upgrade(id);
+  const RequestId id = net.request('A', Mode::kU);
+  net.upgrade('A', id);
   ASSERT_EQ(net.upgraded['A'].size(), 1u);
+  EXPECT_EQ(net.upgraded['A'][0], id);
+  EXPECT_EQ(net.acquired['A'].size(), 1u);  // the U grant, not again
   EXPECT_EQ(net['A'].holds().at(id), Mode::kW);
   EXPECT_EQ(net.bus.total_sent(), 0u);
   net['A'].unlock(id);
@@ -339,15 +351,17 @@ TEST(HlsEngine, UpgradeWaitsForCompatibleReader) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  const RequestId ua = net['A'].request_lock(Mode::kU);
-  (void)net['B'].request_lock(Mode::kR);  // R compatible with U
+  const RequestId ua = net.request('A', Mode::kU);
+  (void)net.request('B', Mode::kR);  // R compatible with U
   net.pump();
-  net['A'].upgrade(ua);
+  net.upgrade('A', ua);
   net.pump();
   EXPECT_TRUE(net.upgraded['A'].empty());  // blocked on B's R
   net['B'].unlock(net.acquired['B'][0].first);
   net.pump();
   ASSERT_EQ(net.upgraded['A'].size(), 1u);
+  EXPECT_EQ(net.upgraded['A'][0], ua);
+  EXPECT_EQ(net.acquired['A'].size(), 1u);  // the U grant, not again
   EXPECT_EQ(net['A'].holds().at(ua), Mode::kW);
   net['A'].unlock(ua);
 }
@@ -356,28 +370,28 @@ TEST(HlsEngine, RemoteUpgraderReceivesToken) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  (void)net['B'].request_lock(Mode::kU);
+  (void)net.request('B', Mode::kU);
   net.pump();
   // B held U via token transfer (∅ < U). Move the token back to A first so
   // the upgrade has to travel: A requests IR; U vs IR are compatible...
   // U is the stronger mode, so A gets a copy and B keeps the token. Make
   // B a non-token U holder instead by bouncing the token through A with W.
   net['B'].unlock(net.acquired['B'][0].first);
-  const RequestId wa = net['A'].request_lock(Mode::kW);
+  const RequestId wa = net.request('A', Mode::kW);
   net.pump();
   ASSERT_TRUE(net['A'].is_token_node());
   net['A'].unlock(wa);
   // Now B asks U -> token moves to B? ∅ < U yes. To get a NON-token U
   // holder, A must hold something weaker first: A holds IR, B requests U:
   // compatible(IR, U) and IR < U -> token transfer with sender_owned=IR.
-  const RequestId ia = net['A'].request_lock(Mode::kIR);
-  const RequestId ub = net['B'].request_lock(Mode::kU);
+  const RequestId ia = net.request('A', Mode::kIR);
+  const RequestId ub = net.request('B', Mode::kU);
   net.pump();
   ASSERT_TRUE(net['B'].is_token_node());
   ASSERT_FALSE(net['A'].is_token_node());
   // B upgrades while A still holds IR: IR is incompatible with W, so the
   // upgrade waits for A's release.
-  net['B'].upgrade(ub);
+  net.upgrade('B', ub);
   net.pump();
   EXPECT_TRUE(net.upgraded['B'].empty());
   net['A'].unlock(ia);
@@ -402,14 +416,14 @@ TEST(HlsEngine, NonTokenUpgraderSendsUpgradeRequest) {
   // B's upgrade REQUEST path: B holds U, token at B, C requests W and is
   // queued; B's upgrade must still win (Rule 7 priority).
   net.add('C', 'A');
-  (void)net['B'].request_lock(Mode::kU);
+  (void)net.request('B', Mode::kU);
   net.pump();
   ASSERT_TRUE(net['B'].is_token_node());
-  (void)net['C'].request_lock(Mode::kW);
+  (void)net.request('C', Mode::kW);
   net.pump();
   EXPECT_EQ(net['B'].queue().size(), 1u);  // C's W waits for the U
   const RequestId ub = net.acquired['B'][0].first;
-  net['B'].upgrade(ub);
+  net.upgrade('B', ub);
   net.pump();
   // The upgrade jumped the queue (deadlock avoidance).
   ASSERT_EQ(net.upgraded['B'].size(), 1u);
@@ -426,10 +440,10 @@ TEST(HlsEngine, LazyReleaseAbsorbedWhenOwnedUnchanged) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A', {}, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  const RequestId rb = net['B'].request_lock(Mode::kIR);
+  const RequestId ra = net.request('A', Mode::kR);
+  const RequestId rb = net.request('B', Mode::kIR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);  // B grants, becomes C's parent
+  (void)net.request('C', Mode::kIR);  // B grants, becomes C's parent
   net.pump();
   const auto releases_before = net.bus.sent(MsgKind::kRelease);
   net['B'].unlock(rb);  // still owns IR through C
@@ -444,10 +458,10 @@ TEST(HlsEngine, EagerReleaseAlwaysNotifies) {
   net.add('A', 'A', opts);
   net.add('B', 'A', opts);
   net.add('C', 'A', opts, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  const RequestId rb = net['B'].request_lock(Mode::kIR);
+  const RequestId ra = net.request('A', Mode::kR);
+  const RequestId rb = net.request('B', Mode::kIR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);
+  (void)net.request('C', Mode::kIR);
   net.pump();
   const auto releases_before = net.bus.sent(MsgKind::kRelease);
   net['B'].unlock(rb);  // owned unchanged, but eager mode reports anyway
@@ -460,8 +474,8 @@ TEST(HlsEngine, StaleReleaseCrossingGrantIsDropped) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kIR);
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kIR);
   net.pump();
   ASSERT_EQ(net['A'].children().at(id_of('B')), Mode::kIR);
 
@@ -470,7 +484,7 @@ TEST(HlsEngine, StaleReleaseCrossingGrantIsDropped) {
   // channel is FIFO, so instead simulate the documented race: A grants a
   // SECOND mode while B's release from the first is in flight.
   net['B'].unlock(net.acquired['B'][0].first);  // Release(∅) in flight
-  (void)net['B'].request_lock(Mode::kR);        // Request(R) behind it
+  (void)net.request('B', Mode::kR);        // Request(R) behind it
   ASSERT_EQ(net.bus.pending(), 2u);
   // Deliver the request BEFORE the release: this is exactly the crossing
   // the grant_seq mechanism must survive (the release is stale relative
@@ -490,15 +504,15 @@ TEST(HlsEngine, ReparentDetachesFromOldParent) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A', {}, 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);  // granted by B
+  (void)net.request('C', Mode::kIR);  // granted by B
   net.pump();
   ASSERT_EQ(net['B'].children().count(id_of('C')), 1u);
   // C asks for R: B cannot grant (owned R not > R? grantable, actually R
   // >= R and compatible — so pick U which B cannot grant).
-  (void)net['C'].request_lock(Mode::kU);
+  (void)net.request('C', Mode::kU);
   net.pump();
   // The root served C (token transfer: R < U). C must have detached from
   // B; B's copyset may no longer carry a stale C entry.
@@ -514,12 +528,12 @@ TEST(HlsEngine, TokenTransferShipsQueueAndNewRootServesIt) {
   net.add('B', 'A');
   net.add('C', 'A');
   net.add('D', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kIR);
+  const RequestId ra = net.request('A', Mode::kIR);
   // C and D request W and R: W is incompatible with IR -> queued at A.
-  (void)net['C'].request_lock(Mode::kW);
+  (void)net.request('C', Mode::kW);
   net.pump();
   EXPECT_EQ(net['A'].queue().size(), 1u);
-  (void)net['D'].request_lock(Mode::kR);  // frozen (IR,W freezes R) -> queued
+  (void)net.request('D', Mode::kR);  // frozen (IR,W freezes R) -> queued
   net.pump();
   EXPECT_EQ(net['A'].queue().size(), 2u);
   // A releases: tokenable(∅, W) -> token to C WITH the remaining queue.
@@ -542,20 +556,49 @@ TEST(HlsEngine, TryRequestLockOnlySucceedsLocally) {
   EXPECT_TRUE(net['A'].try_request_lock(Mode::kW).has_value());
   EXPECT_FALSE(net['B'].try_request_lock(Mode::kIR).has_value());
   EXPECT_EQ(net.bus.total_sent(), 0u);
+  // The return value is the grant: no continuation fires for it.
+  EXPECT_TRUE(net.acquired.empty());
+}
+
+TEST(HlsEngine, EachGrantReachesItsOwnContinuationExactlyOnce) {
+  // B has a remote W in flight, a backlogged R behind it and an IR
+  // behind that; every grant reaches the continuation of the request
+  // that asked, once, in issue order, however many pumps follow.
+  Net net;
+  net.add('A', 'A');
+  net.add('B', 'A');
+  std::vector<std::pair<int, RequestId>> fired;
+  const auto request = [&](int tag, Mode mode) {
+    return net['B'].request_lock(mode, [&fired, tag](RequestId id, Mode) {
+      fired.emplace_back(tag, id);
+    });
+  };
+  const RequestId w = request(0, Mode::kW);
+  const RequestId r = request(1, Mode::kR);
+  const RequestId ir = request(2, Mode::kIR);
+  EXPECT_TRUE(fired.empty());
+  net.pump();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], std::make_pair(0, w));
+  net['B'].unlock(w);  // the backlog drains locally at the token
+  net.pump();
+  net.pump();
+  const std::vector<std::pair<int, RequestId>> want{{0, w}, {1, r}, {2, ir}};
+  EXPECT_EQ(fired, want);
 }
 
 TEST(HlsEngine, DowngradeWeakensAndPropagates) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  (void)net['B'].request_lock(Mode::kW);
+  (void)net.request('B', Mode::kW);
   net.pump();
   const RequestId wb = net.acquired['B'][0].first;
   ASSERT_TRUE(net['B'].is_token_node());
   net['B'].downgrade(wb, Mode::kR);
   EXPECT_EQ(net['B'].holds().at(wb), Mode::kR);
   // A reader elsewhere can now share.
-  (void)net['A'].request_lock(Mode::kR);
+  (void)net.request('A', Mode::kR);
   net.pump();
   EXPECT_EQ(net.acquired['A'].size(), 1u);
   EXPECT_THROW(net['B'].downgrade(wb, Mode::kW), std::logic_error);
@@ -564,9 +607,9 @@ TEST(HlsEngine, DowngradeWeakensAndPropagates) {
 TEST(HlsEngine, ApiMisuseThrows) {
   Net net;
   net.add('A', 'A');
-  EXPECT_THROW(net['A'].request_lock(Mode::kNone), std::invalid_argument);
-  const RequestId id = net['A'].request_lock(Mode::kR);
-  EXPECT_THROW(net['A'].upgrade(id), std::logic_error);  // not a U hold
+  EXPECT_THROW(net.request('A', Mode::kNone), std::invalid_argument);
+  const RequestId id = net.request('A', Mode::kR);
+  EXPECT_THROW(net.upgrade('A', id), std::logic_error);  // not a U hold
   net['A'].unlock(id);
   EXPECT_THROW(net['A'].unlock(id), std::logic_error);  // double unlock
   Message wrong;
@@ -579,9 +622,9 @@ TEST(HlsEngine, BacklogServesLocalRequestsInIssueOrder) {
   net.add('A', 'A');
   net.add('B', 'A');
   // B issues three requests back to back; they must come through in order.
-  (void)net['B'].request_lock(Mode::kIR);
-  (void)net['B'].request_lock(Mode::kR);
-  (void)net['B'].request_lock(Mode::kIR);
+  (void)net.request('B', Mode::kIR);
+  (void)net.request('B', Mode::kR);
+  (void)net.request('B', Mode::kIR);
   EXPECT_EQ(net['B'].backlog_size(), 2u);
   net.pump();
   ASSERT_EQ(net.acquired['B'].size(), 3u);

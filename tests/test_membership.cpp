@@ -17,13 +17,9 @@ NodeId id_of(char c) { return NodeId{static_cast<std::uint32_t>(c - 'A')}; }
 
 struct Net {
   HlsEngine& add(char name, char root, char parent = '\0') {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
     auto engine = std::make_unique<HlsEngine>(
         LockId{0}, id_of(name), id_of(root), bus.port(id_of(name)),
-        EngineOptions{}, std::move(cbs),
+        EngineOptions{},
         parent == '\0' ? NodeId::invalid() : id_of(parent));
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
@@ -33,6 +29,14 @@ struct Net {
   }
   HlsEngine& operator[](char c) { return *engines.at(c); }
   void pump() { bus.deliver_all(); }
+
+  /// request_lock at `name`, recording the grant in acquired[name].
+  RequestId request(char name, Mode mode) {
+    return engines.at(name)->request_lock(
+        mode, [this, name](RequestId id, Mode granted) {
+          acquired[name].emplace_back(id, granted);
+        });
+  }
 
   testing::TestBus bus;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
@@ -47,7 +51,7 @@ TEST(Membership, IdleNonOwnerLeavesSilently) {
   EXPECT_TRUE(net['B'].departed());
   EXPECT_EQ(net.bus.total_sent(), 0u);  // nothing to hand over
   // The remaining node still works.
-  const RequestId ra = net['A'].request_lock(Mode::kW);
+  const RequestId ra = net.request('A', Mode::kW);
   net['A'].unlock(ra);
 }
 
@@ -55,10 +59,10 @@ TEST(Membership, LeaveWithHoldsOrPendingIsRefused) {
   Net net;
   net.add('A', 'A');
   net.add('B', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
   EXPECT_THROW(net['A'].leave(id_of('B')), std::logic_error);
   net['A'].unlock(ra);
-  (void)net['B'].request_lock(Mode::kR);  // pending, messages undelivered
+  (void)net.request('B', Mode::kR);  // pending, messages undelivered
   EXPECT_THROW(net['B'].leave(), std::logic_error);
   net.pump();
 }
@@ -84,8 +88,8 @@ TEST(Membership, TombstoneRoutesStaleHints) {
   net.add('C', 'A');
   // Serve C once so the tree has history, then A (whoever holds the
   // token) departs and stale hints keep routing through its tombstone.
-  const RequestId ra = net['A'].request_lock(Mode::kW);
-  (void)net['C'].request_lock(Mode::kR);  // queued at root A
+  const RequestId ra = net.request('A', Mode::kW);
+  (void)net.request('C', Mode::kR);  // queued at root A
   net.pump();
   ASSERT_EQ(net['A'].queue().size(), 1u);
   net['A'].unlock(ra);
@@ -99,7 +103,7 @@ TEST(Membership, TombstoneRoutesStaleHints) {
   ASSERT_TRUE(net['B'].is_token_node());
   // A's parent hint points at C's tombstone: its request must route
   // through and be served by B.
-  (void)net['A'].request_lock(Mode::kW);
+  (void)net.request('A', Mode::kW);
   net.pump();
   EXPECT_EQ(net.acquired['A'].size(), 2u);
   EXPECT_EQ(net.acquired['A'][1].second, Mode::kW);
@@ -111,10 +115,10 @@ TEST(Membership, CopysetMemberLeavesChildrenReattach) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A', 'B');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  const RequestId rb = net['B'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  const RequestId rb = net.request('B', Mode::kR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);  // granted by B
+  (void)net.request('C', Mode::kIR);  // granted by B
   net.pump();
   ASSERT_EQ(net['B'].children().count(id_of('C')), 1u);
 
@@ -143,17 +147,17 @@ TEST(Membership, WriterBlockedByLeaverSubtreeStillProceeds) {
   net.add('B', 'A');
   net.add('C', 'A', 'B');
   net.add('D', 'A');
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  const RequestId rb = net['B'].request_lock(Mode::kIR);
+  const RequestId ra = net.request('A', Mode::kR);
+  const RequestId rb = net.request('B', Mode::kIR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);
+  (void)net.request('C', Mode::kIR);
   net.pump();
   net['B'].unlock(rb);
   net.pump();
   net['B'].leave();
   net.pump();
 
-  (void)net['D'].request_lock(Mode::kW);
+  (void)net.request('D', Mode::kW);
   net.pump();
   EXPECT_EQ(net.acquired['D'].size(), 0u);  // blocked by A's R and C's IR
   net['A'].unlock(ra);

@@ -14,11 +14,9 @@ namespace {
 
 struct Net {
   NaimiEngine& add(std::uint32_t i, std::uint32_t root) {
-    NaimiCallbacks cbs;
-    cbs.on_acquired = [this, i](RequestId id) { acquired[i].push_back(id); };
-    auto engine = std::make_unique<NaimiEngine>(
-        LockId{0}, NodeId{i}, NodeId{root}, bus.port(NodeId{i}),
-        std::move(cbs));
+    auto engine = std::make_unique<NaimiEngine>(LockId{0}, NodeId{i},
+                                                NodeId{root},
+                                                bus.port(NodeId{i}));
     NaimiEngine* raw = engine.get();
     bus.register_handler(NodeId{i},
                          [raw](const Message& m) { raw->handle(m); });
@@ -28,6 +26,12 @@ struct Net {
   NaimiEngine& operator[](std::uint32_t i) { return *engines.at(i); }
   void pump() { bus.deliver_all(); }
 
+  /// request at node `i`, recording the grant in acquired[i].
+  RequestId request(std::uint32_t i) {
+    return engines.at(i)->request(
+        [this, i](RequestId id) { acquired[i].push_back(id); });
+  }
+
   testing::TestBus bus;
   std::map<std::uint32_t, std::unique_ptr<NaimiEngine>> engines;
   std::map<std::uint32_t, std::vector<RequestId>> acquired;
@@ -36,8 +40,9 @@ struct Net {
 TEST(NaimiEngine, RootEntersImmediately) {
   Net net;
   net.add(0, 0);
-  const RequestId id = net[0].request();
-  EXPECT_EQ(net.acquired[0].size(), 1u);
+  const RequestId id = net.request(0);
+  // The synchronous grant reports the id request() then returns.
+  EXPECT_EQ(net.acquired[0], std::vector<RequestId>{id});
   EXPECT_EQ(net.bus.total_sent(), 0u);
   net[0].release(id);
 }
@@ -46,9 +51,9 @@ TEST(NaimiEngine, RemoteAcquireMovesToken) {
   Net net;
   net.add(0, 0);
   net.add(1, 0);
-  (void)net[1].request();
+  const RequestId r1 = net.request(1);
   net.pump();
-  EXPECT_EQ(net.acquired[1].size(), 1u);
+  EXPECT_EQ(net.acquired[1], std::vector<RequestId>{r1});
   EXPECT_TRUE(net[1].has_token());
   EXPECT_FALSE(net[0].has_token());
   // Path reversal: node 0's probable owner now points at node 1.
@@ -61,11 +66,11 @@ TEST(NaimiEngine, WaitersFormDistributedQueue) {
   net.add(0, 0);
   net.add(1, 0);
   net.add(2, 0);
-  const RequestId r0 = net[0].request();  // root holds CS
-  (void)net[1].request();
+  const RequestId r0 = net.request(0);  // root holds CS
+  (void)net.request(1);
   net.pump();
   EXPECT_EQ(net[0].next(), NodeId{1});  // 1 queued behind the holder
-  (void)net[2].request();
+  (void)net.request(2);
   net.pump();
   EXPECT_EQ(net[1].next(), NodeId{2});  // 2 queued behind 1
   EXPECT_TRUE(net.acquired[1].empty());
@@ -90,7 +95,7 @@ TEST(NaimiEngine, MutualExclusionOverManyRounds) {
 
   for (int round = 0; round < 20; ++round) {
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      (void)net[i].request();
+      (void)net.request(i);
     }
     // Drain: each node releases as soon as it acquires.
     std::size_t served = 0;
@@ -119,8 +124,8 @@ TEST(NaimiEngine, MutualExclusionOverManyRounds) {
 TEST(NaimiEngine, BacklogServesLocalRequestsInOrder) {
   Net net;
   net.add(0, 0);
-  const RequestId a = net[0].request();
-  const RequestId b = net[0].request();  // backlog
+  const RequestId a = net.request(0);
+  const RequestId b = net.request(0);  // backlog
   EXPECT_EQ(net[0].backlog_size(), 1u);
   EXPECT_EQ(net.acquired[0].size(), 1u);
   net[0].release(a);
@@ -132,7 +137,7 @@ TEST(NaimiEngine, BacklogServesLocalRequestsInOrder) {
 TEST(NaimiEngine, ApiMisuseThrows) {
   Net net;
   net.add(0, 0);
-  const RequestId id = net[0].request();
+  const RequestId id = net.request(0);
   net[0].release(id);
   EXPECT_THROW(net[0].release(id), std::logic_error);
   Message wrong;
@@ -147,14 +152,39 @@ TEST(NaimiEngine, TokenPassesDirectlyWhenIdle) {
   net.add(2, 0);
   // 1 acquires and releases; then 2 requests — the request is forwarded
   // along probable owners to 1, which passes the token directly.
-  (void)net[1].request();
+  (void)net.request(1);
   net.pump();
   net[1].release(net.acquired[1][0]);
-  (void)net[2].request();
+  (void)net.request(2);
   net.pump();
   EXPECT_EQ(net.acquired[2].size(), 1u);
   EXPECT_TRUE(net[2].has_token());
   net[2].release(net.acquired[2][0]);
+}
+
+TEST(NaimiEngine, EachGrantReachesItsOwnContinuationExactlyOnce) {
+  // Node 1 has a remote request in flight and one backlogged behind it:
+  // each grant reaches the continuation of the request that asked, once.
+  Net net;
+  net.add(0, 0);
+  net.add(1, 0);
+  std::vector<std::pair<int, RequestId>> fired;
+  const auto request = [&](int tag) {
+    return net[1].request(
+        [&fired, tag](RequestId id) { fired.emplace_back(tag, id); });
+  };
+  const RequestId first = request(0);
+  const RequestId second = request(1);
+  EXPECT_TRUE(fired.empty());
+  net.pump();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], std::make_pair(0, first));
+  net[1].release(first);  // the backlog enters at once: 1 holds the token
+  net.pump();
+  const std::vector<std::pair<int, RequestId>> want{{0, first},
+                                                    {1, second}};
+  EXPECT_EQ(fired, want);
+  net[1].release(second);
 }
 
 }  // namespace

@@ -29,14 +29,8 @@ TEST_P(NaimiFuzz, SingleHolderUnderRandomInterleavings) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    NaimiCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid) {
-      in_cs[i] = rid;
-      ++granted;
-    };
     engines.push_back(std::make_unique<NaimiEngine>(LockId{0}, id, NodeId{0},
-                                                    bus.port(id),
-                                                    std::move(cbs)));
+                                                    bus.port(id)));
     NaimiEngine* raw = engines.back().get();
     bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
   }
@@ -52,7 +46,10 @@ TEST_P(NaimiFuzz, SingleHolderUnderRandomInterleavings) {
     const double dice = rng.next_double();
     if (dice < 0.40) {
       if (engines[i]->backlog_size() < 3) {
-        (void)engines[i]->request();
+        (void)engines[i]->request([&, i](RequestId rid) {
+          in_cs[i] = rid;
+          ++granted;
+        });
         ++issued;
       }
     } else if (dice < 0.65) {

@@ -19,14 +19,9 @@ struct Net {
   explicit Net(EngineOptions opts_in) : opts(opts_in) {}
 
   HlsEngine& add(char name, char root) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId, Mode mode) {
-      grants.emplace_back(name, mode);
-    };
     auto engine = std::make_unique<HlsEngine>(LockId{0}, id_of(name),
                                               id_of(root),
-                                              bus.port(id_of(name)), opts,
-                                              std::move(cbs));
+                                              bus.port(id_of(name)), opts);
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
                          [raw](const Message& m) { raw->handle(m); });
@@ -35,6 +30,16 @@ struct Net {
   }
   HlsEngine& operator[](char c) { return *engines.at(c); }
   void pump() { bus.deliver_all(); }
+
+  /// request_lock at `name`, recording the grant in grants.
+  RequestId request(char name, Mode mode, std::uint8_t priority = 0) {
+    return engines.at(name)->request_lock(
+        mode,
+        [this, name](RequestId, Mode granted) {
+          grants.emplace_back(name, granted);
+        },
+        priority);
+  }
 
   EngineOptions opts;
   testing::TestBus bus;
@@ -55,13 +60,13 @@ TEST(Priority, HigherPriorityServedFirstFromQueue) {
   net.add('C', 'A');
   net.add('D', 'A');
   // A holds W so every request queues at the root.
-  const RequestId wa = net['A'].request_lock(Mode::kW);
+  const RequestId wa = net.request('A', Mode::kW);
   net.grants.clear();
-  (void)net['B'].request_lock(Mode::kR, /*priority=*/0);
+  (void)net.request('B', Mode::kR, /*priority=*/0);
   net.pump();
-  (void)net['C'].request_lock(Mode::kR, /*priority=*/5);
+  (void)net.request('C', Mode::kR, /*priority=*/5);
   net.pump();
-  (void)net['D'].request_lock(Mode::kR, /*priority=*/3);
+  (void)net.request('D', Mode::kR, /*priority=*/3);
   net.pump();
   ASSERT_EQ(net['A'].queue().size(), 3u);
   EXPECT_EQ(net['A'].queue()[0].priority, 5);
@@ -82,11 +87,11 @@ TEST(Priority, FifoWithinSamePriorityLevel) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A');
-  const RequestId wa = net['A'].request_lock(Mode::kW);
+  const RequestId wa = net.request('A', Mode::kW);
   net.grants.clear();
-  (void)net['B'].request_lock(Mode::kR, 2);
+  (void)net.request('B', Mode::kR, 2);
   net.pump();
-  (void)net['C'].request_lock(Mode::kR, 2);
+  (void)net.request('C', Mode::kR, 2);
   net.pump();
   net['A'].unlock(wa);
   net.pump();
@@ -100,11 +105,11 @@ TEST(Priority, DisabledKeepsPureFifo) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A');
-  const RequestId wa = net['A'].request_lock(Mode::kW);
+  const RequestId wa = net.request('A', Mode::kW);
   net.grants.clear();
-  (void)net['B'].request_lock(Mode::kR, 0);
+  (void)net.request('B', Mode::kR, 0);
   net.pump();
-  (void)net['C'].request_lock(Mode::kR, 9);  // ignored without the option
+  (void)net.request('C', Mode::kR, 9);  // ignored without the option
   net.pump();
   net['A'].unlock(wa);
   net.pump();
@@ -117,13 +122,15 @@ TEST(Priority, UpgradeStillPrecedesHighPriorityRequests) {
   Net net(with_priorities());
   net.add('A', 'A');
   net.add('B', 'A');
-  const RequestId ua = net['A'].request_lock(Mode::kU);
+  const RequestId ua = net.request('A', Mode::kU);
   net.grants.clear();
-  (void)net['B'].request_lock(Mode::kW, 200);  // queued behind the U
+  (void)net.request('B', Mode::kW, 200);  // queued behind the U
   net.pump();
-  net['A'].upgrade(ua);
+  bool upgraded = false;
+  net['A'].upgrade(ua, [&upgraded](RequestId, Mode) { upgraded = true; });
   net.pump();
   // The upgrade wins even against priority 200 (deadlock avoidance).
+  EXPECT_TRUE(upgraded);
   EXPECT_EQ(net['A'].holds().at(ua), Mode::kW);
   EXPECT_TRUE(net.grants.empty());
   net['A'].unlock(ua);
@@ -138,12 +145,12 @@ TEST(Priority, PriorityOrderSurvivesTokenTransfer) {
   net.add('B', 'A');
   net.add('C', 'A');
   net.add('D', 'A');
-  const RequestId ia = net['A'].request_lock(Mode::kIR);
+  const RequestId ia = net.request('A', Mode::kIR);
   net.grants.clear();
   // W requests queue (incompatible with IR); different priorities.
-  (void)net['C'].request_lock(Mode::kW, 1);
+  (void)net.request('C', Mode::kW, 1);
   net.pump();
-  (void)net['D'].request_lock(Mode::kW, 7);
+  (void)net.request('D', Mode::kW, 7);
   net.pump();
   ASSERT_EQ(net['A'].queue().size(), 2u);
   EXPECT_EQ(net['A'].queue()[0].priority, 7);

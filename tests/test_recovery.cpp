@@ -23,17 +23,9 @@ struct Net {
   Net(EngineOptions o, const ClusterMap* map) : opts(o), clusters(map) {}
 
   HlsEngine& add(char name, char root) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
-    cbs.on_upgraded = [this, name](RequestId id) {
-      upgraded[name].push_back(id);
-    };
     auto engine = std::make_unique<HlsEngine>(LockId{0}, id_of(name),
                                               id_of(root),
-                                              bus.port(id_of(name)),
-                                              opts, std::move(cbs));
+                                              bus.port(id_of(name)), opts);
     engine->set_cluster_map(clusters);
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
@@ -43,6 +35,21 @@ struct Net {
   }
   HlsEngine& operator[](char c) { return *engines.at(c); }
   void pump() { bus.deliver_all(); }
+
+  /// request_lock at `name`, recording the grant in acquired[name].
+  RequestId request(char name, Mode mode) {
+    return engines.at(name)->request_lock(
+        mode, [this, name](RequestId id, Mode granted) {
+          acquired[name].emplace_back(id, granted);
+        });
+  }
+  /// upgrade at `name`, recording the completion in upgraded[name].
+  void upgrade(char name, RequestId id) {
+    engines.at(name)->upgrade(id, [this, name](RequestId done, Mode mode) {
+      EXPECT_EQ(mode, Mode::kW);
+      upgraded[name].push_back(done);
+    });
+  }
 
   /// Simulate a crash: the node stops processing anything.
   void crash(char name) {
@@ -79,7 +86,7 @@ TEST(Recovery, CrashOfIdleNodeIsInvisible) {
   net.add('C', 'A');
   net.crash('C');
   net.recover(1, 'A');
-  (void)net['B'].request_lock(Mode::kW);
+  (void)net.request('B', Mode::kW);
   net.pump();
   ASSERT_EQ(net.acquired['B'].size(), 1u);
   net['B'].unlock(net.acquired['B'][0].first);
@@ -91,10 +98,10 @@ TEST(Recovery, DeadReadersHoldVanishes) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A');
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   // C wants W: blocked by B's R.
-  (void)net['C'].request_lock(Mode::kW);
+  (void)net.request('C', Mode::kW);
   net.pump();
   EXPECT_TRUE(net.acquired['C'].empty());
   // B crashes while holding R; view service recovers around it.
@@ -115,8 +122,8 @@ TEST(Recovery, ClearedQueueLeavesNoModeFrozen) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A');
-  const RequestId held = net['A'].request_lock(Mode::kR);  // root holds R
-  (void)net['B'].request_lock(Mode::kW);  // queued behind it, freezes R
+  const RequestId held = net.request('A', Mode::kR);  // root holds R
+  (void)net.request('B', Mode::kW);  // queued behind it, freezes R
   net.pump();
   ASSERT_EQ(net['A'].queue().size(), 1u);
   ASSERT_FALSE(net['A'].frozen().empty());
@@ -125,7 +132,7 @@ TEST(Recovery, ClearedQueueLeavesNoModeFrozen) {
   EXPECT_TRUE(net['A'].queue().empty());
   EXPECT_TRUE(net['A'].frozen().empty()) << net['A'].frozen().to_string();
   // A new reader is compatible with the root's R and no longer frozen out.
-  (void)net['C'].request_lock(Mode::kR);
+  (void)net.request('C', Mode::kR);
   net.pump();
   ASSERT_EQ(net.acquired['C'].size(), 1u);
   net['C'].unlock(net.acquired['C'][0].first);
@@ -139,11 +146,11 @@ TEST(Recovery, TokenHolderCrashRegeneratesToken) {
   net.add('B', 'A');
   net.add('C', 'A');
   // Move the token to C.
-  (void)net['C'].request_lock(Mode::kW);
+  (void)net.request('C', Mode::kW);
   net.pump();
   ASSERT_TRUE(net['C'].is_token_node());
   // B queues a request behind C's W.
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   EXPECT_TRUE(net.acquired['B'].empty());
   // C crashes with the token and a queued request.
@@ -167,9 +174,9 @@ TEST(Recovery, SurvivorHoldsAreReattachedAndStillBlockWriters) {
   net.add('B', 'A');
   net.add('C', 'A');
   net.add('D', 'A');
-  (void)net['B'].request_lock(Mode::kIR);
+  (void)net.request('B', Mode::kIR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kIR);
+  (void)net.request('C', Mode::kIR);
   net.pump();
   // A (the root) crashes. B and C keep their IR holds.
   net.crash('A');
@@ -177,7 +184,7 @@ TEST(Recovery, SurvivorHoldsAreReattachedAndStillBlockWriters) {
   ASSERT_TRUE(net['B'].is_token_node());
   EXPECT_EQ(net['B'].children().count(id_of('C')), 1u);
   // A writer must still wait for BOTH survivors' IR holds.
-  (void)net['D'].request_lock(Mode::kW);
+  (void)net.request('D', Mode::kW);
   net.pump();
   EXPECT_TRUE(net.acquired['D'].empty());
   net['C'].unlock(net.acquired['C'][0].first);
@@ -213,10 +220,10 @@ TEST(Recovery, PendingUpgradeSurvivesCrashOfBlockingReader) {
   net.add('A', 'A');
   net.add('B', 'A');
   net.add('C', 'A');
-  const RequestId ua = net['A'].request_lock(Mode::kU);
-  (void)net['B'].request_lock(Mode::kR);  // compatible reader
+  const RequestId ua = net.request('A', Mode::kU);
+  (void)net.request('B', Mode::kR);  // compatible reader
   net.pump();
-  net['A'].upgrade(ua);
+  net.upgrade('A', ua);
   net.pump();
   EXPECT_TRUE(net.upgraded['A'].empty());  // blocked by B
   net.crash('B');
@@ -234,17 +241,17 @@ TEST(Recovery, SuccessiveCrashesAndRecoveries) {
   net.add('B', 'A');
   net.add('C', 'A');
   net.add('D', 'A');
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   net.crash('A');
   net.recover(1, 'B');
-  (void)net['C'].request_lock(Mode::kR);
+  (void)net.request('C', Mode::kR);
   net.pump();
   ASSERT_EQ(net.acquired['C'].size(), 1u);
   net.crash('B');
   net.recover(2, 'C');
   ASSERT_TRUE(net['C'].is_token_node());
-  (void)net['D'].request_lock(Mode::kIR);
+  (void)net.request('D', Mode::kIR);
   net.pump();
   ASSERT_EQ(net.acquired['D'].size(), 1u);
   net['C'].unlock(net.acquired['C'][0].first);
@@ -272,13 +279,13 @@ TEST(Recovery, LocalityStreakResetsWithRegeneratedToken) {
   // freezes R, so same-cluster B's R queues behind it. Releasing one of
   // A's spare holds triggers queue service: the biased pick copy-grants B
   // past the blocked head, maxing the streak at the cap.
-  const RequestId ra = net['A'].request_lock(Mode::kR);
-  const RequestId ra2 = net['A'].request_lock(Mode::kR);
-  const RequestId ra3 = net['A'].request_lock(Mode::kR);
+  const RequestId ra = net.request('A', Mode::kR);
+  const RequestId ra2 = net.request('A', Mode::kR);
+  const RequestId ra3 = net.request('A', Mode::kR);
   net.pump();
-  (void)net['C'].request_lock(Mode::kW);
+  (void)net.request('C', Mode::kW);
   net.pump();
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   EXPECT_TRUE(net.acquired['B'].empty());  // R frozen by the queued W
   net['A'].unlock(ra3);
@@ -299,7 +306,7 @@ TEST(Recovery, LocalityStreakResetsWithRegeneratedToken) {
   // Behavioral pin: with the streak reset, B's next same-cluster R may
   // again bypass the head at the next service point; with a stale streak
   // (== cap) it would sit blocked behind C's W until A fully released.
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
   net['A'].unlock(ra2);
   net.pump();
@@ -348,7 +355,7 @@ TEST(Recovery, StaleViewRequestAndAttachAreFenced) {
   // writer is served instantly (nothing queued ahead of it, nothing
   // phantom-held against it).
   EXPECT_EQ(net['A'].children().count(id_of('C')), 0u);
-  (void)net['B'].request_lock(Mode::kW);
+  (void)net.request('B', Mode::kW);
   net.pump();
   ASSERT_EQ(net.acquired['B'].size(), 1u);
   net['B'].unlock(net.acquired['B'][0].first);
@@ -364,7 +371,7 @@ TEST(Recovery, SecondRecoveryBeforeFirstBarrierCompletes) {
   net.add('B', 'A');
   net.add('C', 'A');
   net.add('D', 'A');
-  (void)net['B'].request_lock(Mode::kR);
+  (void)net.request('B', Mode::kR);
   net.pump();
 
   net.crash('D');
@@ -386,7 +393,7 @@ TEST(Recovery, SecondRecoveryBeforeFirstBarrierCompletes) {
   EXPECT_FALSE(net['B'].is_token_node());
   EXPECT_EQ(net['A'].children().count(id_of('C')), 0u);
   // B's R hold survived both recoveries and still blocks a writer.
-  (void)net['A'].request_lock(Mode::kW);
+  (void)net.request('A', Mode::kW);
   net.pump();
   EXPECT_TRUE(net.acquired['A'].empty());
   net['B'].unlock(net.acquired['B'][0].first);

@@ -32,11 +32,8 @@ TEST_P(RecoveryFuzz, RepeatedCrashesStaySafeAndLive) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), EngineOptions{},
-        std::move(cbs)));
+    engines.push_back(std::make_unique<HlsEngine>(LockId{0}, id, NodeId{0},
+                                                  bus.port(id)));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [&, i, raw](const Message& m) {
       if (alive[i]) raw->handle(m);
@@ -69,7 +66,9 @@ TEST_P(RecoveryFuzz, RepeatedCrashesStaySafeAndLive) {
     if (!alive[i]) continue;
     if (dice < 0.35) {
       if (engines[i]->backlog_size() < 2 && !engines[i]->departed()) {
-        (void)engines[i]->request_lock(kRealModes[rng.next_below(5)]);
+        (void)engines[i]->request_lock(
+            kRealModes[rng.next_below(5)],
+            [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; });
       }
     } else if (dice < 0.60) {
       if (!held[i].empty()) {
@@ -161,11 +160,8 @@ TEST_P(MixedChurnFuzz, LeavesAndCrashesTogether) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), EngineOptions{},
-        std::move(cbs)));
+    engines.push_back(std::make_unique<HlsEngine>(LockId{0}, id, NodeId{0},
+                                                  bus.port(id)));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [&, i, raw](const Message& m) {
       if (!gone[i] || engines[i]->departed()) raw->handle(m);
@@ -196,7 +192,9 @@ TEST_P(MixedChurnFuzz, LeavesAndCrashesTogether) {
     if (gone[i]) continue;
     if (dice < 0.35) {
       if (engines[i]->backlog_size() < 2) {
-        (void)engines[i]->request_lock(kRealModes[rng.next_below(5)]);
+        (void)engines[i]->request_lock(
+            kRealModes[rng.next_below(5)],
+            [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; });
       }
     } else if (dice < 0.58) {
       if (!held[i].empty()) {

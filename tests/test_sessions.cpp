@@ -119,8 +119,8 @@ struct MuxFixture {
 TEST(SessionMux, TwoSessionsOnTheTokenNodeAreGrantedSynchronously) {
   // Node 0 holds the table token and the tokens of its own rows, so both
   // sessions' grants fire inside request_lock(), before the request id
-  // reaches the mux: each must bind through the issuing slot to the
-  // session that issued it.
+  // reaches the mux: each request's own continuation must carry its
+  // grant to the session that issued it.
   MuxFixture f(3, 0, 2);
   Op read;
   read.kind = OpKind::kEntryRead;

@@ -33,34 +33,36 @@ TEST_P(Table2aBehavior, QueueOrForwardMatchesTheTable) {
   std::map<char, std::unique_ptr<HlsEngine>> engines;
   std::map<char, std::vector<std::pair<RequestId, Mode>>> acquired;
   auto add = [&](char name, char parent) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&acquired, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
     auto engine = std::make_unique<HlsEngine>(
         LockId{0}, id_of(name), id_of('A'), bus.port(id_of(name)),
-        EngineOptions{}, std::move(cbs),
+        EngineOptions{},
         parent == '\0' ? NodeId::invalid() : id_of(parent));
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
                          [raw](const Message& m) { raw->handle(m); });
     engines[name] = std::move(engine);
   };
+  auto request = [&](char name, Mode mode) {
+    return engines[name]->request_lock(
+        mode, [&acquired, name](RequestId id, Mode granted) {
+          acquired[name].emplace_back(id, granted);
+        });
+  };
   add('A', '\0');  // root
   add('B', '\0');
   add('D', 'B');  // D's probable owner is B
 
   // Root holds W: every request stalls, so B's M1 stays pending.
-  const RequestId wa = engines['A' ]->request_lock(Mode::kW);
+  const RequestId wa = request('A', Mode::kW);
 
   if (cell.pending != Mode::kNone) {
-    (void)engines['B']->request_lock(cell.pending);
+    (void)request('B', cell.pending);
     bus.deliver_all();  // request travels to A and is queued there
     ASSERT_TRUE(engines['B']->has_pending());
   }
 
   // D's request reaches B (exactly one hop on the D->B channel).
-  (void)engines['D']->request_lock(cell.incoming);
+  (void)request('D', cell.incoming);
   ASSERT_GE(bus.pending(), 1u);
   // Deliver only D's request (it is the newest message; find it).
   bool delivered = false;

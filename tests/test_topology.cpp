@@ -34,14 +34,8 @@ struct Net {
         }
       }
       const NodeId id{i};
-      EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode mode) {
-        acquired[i].emplace_back(rid, mode);
-        order.push_back(i);
-      };
       engines.push_back(std::make_unique<HlsEngine>(
-          LockId{0}, id, NodeId{0}, bus.port(id), opts,
-          std::move(cbs), parent));
+          LockId{0}, id, NodeId{0}, bus.port(id), opts, parent));
       engines.back()->set_cluster_map(map);
       HlsEngine* raw = engines.back().get();
       bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
@@ -49,6 +43,15 @@ struct Net {
   }
 
   void pump() { bus.deliver_all(); }
+
+  /// request_lock at node `i`, recording the grant in acquired / order.
+  RequestId request(std::uint32_t i, Mode mode) {
+    return engines.at(i)->request_lock(
+        mode, [this, i](RequestId rid, Mode granted) {
+          acquired[i].emplace_back(rid, granted);
+          order.push_back(i);
+        });
+  }
 
   testing::TestBus bus;
   std::vector<std::unique_ptr<HlsEngine>> engines;
@@ -61,7 +64,7 @@ class TopologyTest : public ::testing::TestWithParam<Topology> {};
 
 TEST_P(TopologyTest, DeepestNodeAcquiresThroughTheWholePath) {
   Net net(8, GetParam(), 3);
-  (void)net.engines[7]->request_lock(Mode::kW);
+  (void)net.request(7, Mode::kW);
   net.pump();
   ASSERT_EQ(net.acquired[7].size(), 1u);
   EXPECT_TRUE(net.engines[7]->is_token_node());
@@ -71,9 +74,9 @@ TEST_P(TopologyTest, DeepestNodeAcquiresThroughTheWholePath) {
 
 TEST_P(TopologyTest, ConcurrentReadersFromEveryNode) {
   Net net(8, GetParam(), 4);
-  (void)net.engines[0]->request_lock(Mode::kR);
+  (void)net.request(0, Mode::kR);
   for (std::uint32_t i = 1; i < 8; ++i) {
-    (void)net.engines[i]->request_lock(Mode::kR);
+    (void)net.request(i, Mode::kR);
     net.pump();
   }
   net.pump();
@@ -102,7 +105,7 @@ TEST_P(TopologyTest, PathCompressionAmortizesAcrossRounds) {
   auto round = [&]() -> std::uint64_t {
     const auto before = net.bus.total_sent();
     for (std::uint32_t i = 0; i < 8; ++i) {
-      (void)net.engines[i]->request_lock(Mode::kW);
+      (void)net.request(i, Mode::kW);
       net.pump();
       auto& log = net.acquired[i];
       net.engines[i]->unlock(log.back().first);
@@ -124,7 +127,7 @@ TEST_P(TopologyTest, PathCompressionAmortizesAcrossRounds) {
   // — the cheap path is the token holder's, which is message-free.
   const auto before = net.bus.total_sent();
   for (int k = 0; k < 5; ++k) {
-    (void)net.engines[7]->request_lock(Mode::kW);
+    (void)net.request(7, Mode::kW);
     net.pump();
     net.engines[7]->unlock(net.acquired[7].back().first);
     net.pump();
@@ -149,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TopologyTest,
 TEST(Topology, SelfParentRejected) {
   testing::TestBus bus;
   EXPECT_THROW(HlsEngine(LockId{0}, NodeId{1}, NodeId{0}, bus.port(NodeId{1}),
-                         EngineOptions{}, EngineCallbacks{}, NodeId{1}),
+                         EngineOptions{}, NodeId{1}),
                std::invalid_argument);
 }
 
@@ -171,7 +174,7 @@ TEST_P(BiasedTopologyTest, AllWritersAcquireAndQuiesce) {
   const ClusterMap map = ClusterMap::make(8, 2, ClusterPlacement::kBlock);
   Net net(8, GetParam(), 11, bias_opts(4), &map);
   for (std::uint32_t i = 0; i < 8; ++i)
-    (void)net.engines[i]->request_lock(Mode::kW);
+    (void)net.request(i, Mode::kW);
   net.pump();
   for (std::uint32_t i = 0; i < 8; ++i) {
     // Writers are granted one at a time; release as grants land until
@@ -197,7 +200,7 @@ TEST_P(BiasedTopologyTest, ConcurrentReadersUnaffectedByBias) {
   const ClusterMap map = ClusterMap::make(8, 2, ClusterPlacement::kBlock);
   Net net(8, GetParam(), 12, bias_opts(4), &map);
   for (std::uint32_t i = 0; i < 8; ++i) {
-    (void)net.engines[i]->request_lock(Mode::kR);
+    (void)net.request(i, Mode::kR);
     net.pump();
   }
   for (std::uint32_t i = 0; i < 8; ++i) {
@@ -229,18 +232,18 @@ struct BiasRig {
   BiasRig(EngineOptions opts, const ClusterMap* map)
       : net(8, Topology::kStar, 13, opts, map) {
     for (std::uint32_t i = 4; i <= 6; ++i) {
-      (void)net.engines[i]->request_lock(Mode::kR);
+      (void)net.request(i, Mode::kR);
       net.pump();
       net.engines[i]->unlock(net.acquired[i][0].first);
       net.pump();
     }
     net.order.clear();
-    (void)net.engines[7]->request_lock(Mode::kW);
+    (void)net.request(7, Mode::kW);
     net.pump();
-    (void)net.engines[0]->request_lock(Mode::kW);  // remote head, stamp (2,0)
+    (void)net.request(0, Mode::kW);  // remote head, stamp (2,0)
     net.pump();
     for (std::uint32_t i = 4; i <= 6; ++i) {  // locals behind it, (2,4..6)
-      (void)net.engines[i]->request_lock(Mode::kW);
+      (void)net.request(i, Mode::kW);
       net.pump();
     }
   }
@@ -306,12 +309,12 @@ TEST(LocalityBias, ReadersBatchWithARemoteWriterWaiting) {
   // readers (copy grants) before handing the token across the boundary.
   const ClusterMap map = ClusterMap::make(8, 2, ClusterPlacement::kBlock);
   Net net(8, Topology::kStar, 14, bias_opts(4), &map);
-  (void)net.engines[0]->request_lock(Mode::kW);
+  (void)net.request(0, Mode::kW);
   net.pump();
-  (void)net.engines[4]->request_lock(Mode::kW);
+  (void)net.request(4, Mode::kW);
   net.pump();
-  (void)net.engines[1]->request_lock(Mode::kR);
-  (void)net.engines[2]->request_lock(Mode::kR);
+  (void)net.request(1, Mode::kR);
+  (void)net.request(2, Mode::kR);
   net.pump();
   net.engines[0]->unlock(net.acquired[0][0].first);
   net.pump();
@@ -330,9 +333,9 @@ TEST(LocalityBias, ReadersBatchWithARemoteWriterWaiting) {
 TEST(Topology, ChainCostsMoreMessagesThanStarInitially) {
   Net star(8, Topology::kStar, 6);
   Net chain(8, Topology::kChain, 6);
-  (void)star.engines[7]->request_lock(Mode::kW);
+  (void)star.request(7, Mode::kW);
   star.pump();
-  (void)chain.engines[7]->request_lock(Mode::kW);
+  (void)chain.request(7, Mode::kW);
   chain.pump();
   // The chain request is relayed through six intermediates.
   EXPECT_GT(chain.bus.total_sent(), star.bus.total_sent());

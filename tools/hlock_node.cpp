@@ -69,11 +69,6 @@ Options parse_args(int argc, char** argv) {
           opt.tcp.suspect_timeout = msec(tools::flag_u32(arg, value()));
         } else if (arg == "--view-retry-ms") {
           opt.view_retry_ms = tools::flag_u32(arg, value());
-        } else if (arg == "--send-window") {
-          // Per-peer cap on unacked sends; 0 (default) = unbounded.
-          // Protocol messages past the cap are dropped (sends_rejected),
-          // so only use with workloads that tolerate loss.
-          opt.tcp.send_window_limit = tools::flag_u32(arg, value());
         } else {
           return false;
         }
