@@ -1,17 +1,19 @@
-// Elastic cluster: nodes depart gracefully while lock traffic keeps
-// flowing — the dynamic-membership extension over real TCP sockets.
+// Elastic cluster: nodes depart while lock traffic keeps flowing — a
+// departure is a view change over real TCP sockets.
 //
 //   $ ./elastic_cluster [nodes] [rounds]
 //
-// All nodes hammer a shared lock; every few rounds the highest-numbered
-// active node drains and leaves, handing the token to a survivor when it
-// happens to be the root. The run ends with a single node still able to
-// take the lock silently.
+// All nodes hammer a shared lock; once done, the highest-numbered active
+// node leaves: it holds nothing and waits for nothing, and every survivor
+// recovers into the next view without it, the new root (node 0, the
+// lowest survivor) first. The run ends with a single node still able to
+// take the lock.
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -70,7 +72,6 @@ int main(int argc, char** argv) {
     workers.emplace_back([&, i] {
       corba::LockSet set = services[i]->lock_set(kLock);
       for (int r = 0; r < rounds; ++r) {
-        // Highest active node leaves after finishing round r == i % ...
         const corba::LockHandle h = set.lock(corba::LockMode::kWrite);
         if (in_cs.fetch_add(1) != 0) overlap.store(true);
         acquisitions.fetch_add(1);
@@ -80,13 +81,18 @@ int main(int argc, char** argv) {
       }
       // Nodes 1..n-1 depart in reverse order once done; node 0 stays.
       if (i != 0) {
-        // Wait until every higher-numbered node has departed, keeping
-        // departures ordered so a successor is always alive.
+        // Wait until every higher-numbered node has left, so view
+        // changes run one at a time with increasing view numbers.
         while (active.load() != i + 1) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
-        services[i]->leave(kLock, NodeId{0});
-        std::cout << "node " << i << " departed\n";
+        std::set<NodeId> survivors;
+        for (std::size_t k = 0; k < i; ++k)
+          survivors.insert(NodeId{static_cast<std::uint32_t>(k)});
+        const auto view = static_cast<std::uint32_t>(nodes - i);
+        for (const NodeId s : survivors)  // node 0, the new root, first
+          services[s.value]->recover(kLock, view, NodeId{0}, survivors);
+        std::cout << "node " << i << " left\n";
         active.fetch_sub(1);
       }
     });

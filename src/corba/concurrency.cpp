@@ -237,10 +237,6 @@ LockHandle ConcurrencyService::change_mode_blocking(const LockHandle& handle,
       "change_mode supports U->W upgrades and safe downgrades only");
 }
 
-void ConcurrencyService::leave(LockId id, NodeId successor_if_root) {
-  run_on_loop([&] { hls_.engine(id).leave(successor_if_root); });
-}
-
 void ConcurrencyService::recover(LockId id, std::uint32_t view,
                                  NodeId new_root,
                                  const std::set<NodeId>& survivors) {

@@ -130,8 +130,8 @@ void HlsEngine::clear_queue() {
   queue_mode_count_.fill(0);
 }
 
-void HlsEngine::adopt_shipped_queue(const std::vector<QueuedRequest>& shipped,
-                                    bool drop_self) {
+void HlsEngine::adopt_shipped_queue(
+    const std::vector<QueuedRequest>& shipped) {
   // One stable sort over contiguous scratch storage: upgrades first (Rule 7
   // precedence survives transfers), then FIFO by Lamport stamp (footnote c
   // of Figure 4) or priority order. Stability keeps ties in shipped-then-
@@ -140,7 +140,7 @@ void HlsEngine::adopt_shipped_queue(const std::vector<QueuedRequest>& shipped,
   thread_local std::vector<QueuedRequest> merged;
   merged.clear();
   const auto keep = [&](const QueuedRequest& r) {
-    return !(drop_self && r.requester == self_);
+    return r.requester != self_;
   };
   std::copy_if(shipped.begin(), shipped.end(), std::back_inserter(merged),
                keep);
@@ -203,7 +203,6 @@ void HlsEngine::start_local_request(PendingLocal req) {
 
   if (req.upgrade) {
     // Rule 7. The hold stays U throughout; no release happens.
-    upgrading_hold_ = req.id;
     if (has_token_ && owned_mode_excluding_hold(req.id) == kNone) {
       admit_local(req, Mode::kW);
       return;
@@ -273,8 +272,7 @@ void HlsEngine::admit_local(PendingLocal& req, Mode mode) {
 }
 
 bool HlsEngine::cancel(RequestId id) {
-  if (upgrading_hold_ == id || (pending_ && pending_->upgrade &&
-                                pending_->id == id))
+  if (upgrading_hold_ == id)
     throw std::logic_error("cannot cancel an upgrade (U stays held)");
   if (holds_.count(id) != 0) return false;  // already granted
   for (auto it = backlog_.begin(); it != backlog_.end(); ++it) {
@@ -284,8 +282,6 @@ bool HlsEngine::cancel(RequestId id) {
     }
   }
   if (pending_ && pending_->id == id) {
-    if (pending_->upgrade)
-      throw std::logic_error("cannot cancel an upgrade (U stays held)");
     pending_->cancelled = true;
     pending_->on_granted = nullptr;
     return true;
@@ -365,6 +361,10 @@ void HlsEngine::upgrade(RequestId id, GrantFn on_granted) {
   if (it == holds_.end() || it->second != Mode::kU)
     throw std::logic_error("upgrade requires a held U lock");
   if (upgrading_hold_) throw std::logic_error("upgrade already in flight");
+  // The hold is upgrading from here on, also while the upgrade waits in
+  // backlog_: unlock/downgrade/cancel of it must be refused until the
+  // upgrade completes, or the queued upgrade would resurrect a released id.
+  upgrading_hold_ = id;
   PendingLocal req;
   req.id = id;  // the upgrade keeps the original request id
   req.mode = Mode::kW;
@@ -413,91 +413,23 @@ void HlsEngine::handle(const Message& m) {
                               << " message in view " << view_);
     return;
   }
-  if (departed_) {
-    handle_departed(m);
-    return;
-  }
   switch (m.kind) {
     case MsgKind::kRequest: handle_request(m); return;
     case MsgKind::kGrant: handle_grant(m); return;
     case MsgKind::kToken: handle_token(m); return;
     case MsgKind::kRelease: handle_release(m); return;
     case MsgKind::kFreeze: handle_freeze(m); return;
-    case MsgKind::kReparent: handle_reparent(m); return;
     case MsgKind::kAttach: handle_attach(m); return;
-    case MsgKind::kHandoff: handle_handoff(m); return;
     default: throw std::logic_error("unexpected message kind for HlsEngine");
   }
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic membership (leave / reparent / attach / handoff)
+// Membership change (view change)
 // ---------------------------------------------------------------------------
-
-void HlsEngine::leave(NodeId successor_if_root) {
-  if (departed_) throw std::logic_error("already departed");
-  if (!holds_.empty()) throw std::logic_error("leave with live holds");
-  if (pending_ || !backlog_.empty())
-    throw std::logic_error("leave with outstanding requests");
-
-  const NodeId successor = has_token_ ? successor_if_root : parent_;
-  if (!successor.valid() || successor == self_)
-    throw std::invalid_argument("leave requires a valid successor");
-
-  // Children re-attach themselves: they answer with kAttach carrying
-  // their authoritative owned mode on their own (FIFO) channel to the
-  // successor, which closes the delegate-vs-release races a push-style
-  // handover would have.
-  const bool owned_something = !children_.empty();
-  for (const auto& [child, mode] : children_) {
-    Message r;
-    r.kind = MsgKind::kReparent;
-    r.req.requester = successor;
-    send(child, r);
-  }
-  clear_children();
-  sent_frozen_.clear();
-
-  if (has_token_) {
-    Message h;
-    h.kind = MsgKind::kHandoff;
-    h.queue = transport_.acquire_queue_buffer();
-    h.queue.assign(queue_.begin(), queue_.end());
-    clear_queue();
-    h.grant_seq = locality_streak_;  // see transfer_token
-    locality_streak_ = 0;
-    has_token_ = false;
-    send(successor, std::move(h));
-  } else {
-    // Requests we queued behind our (now resolved) pending: forward them
-    // toward the root before going dark.
-    for (const QueuedRequest& q : queue_) {
-      Message fwd;
-      fwd.kind = MsgKind::kRequest;
-      fwd.req = q;
-      send(parent_, fwd);
-    }
-    clear_queue();
-    if (owned_something) {
-      // Deregister ourselves: our contribution to the parent's copyset is
-      // gone (no holds; the children now attach directly to it). An idle
-      // non-owner already dropped out of the copyset when it released.
-      Message r;
-      r.kind = MsgKind::kRelease;
-      r.mode = kNone;
-      r.grant_seq = grants_received_[parent_];
-      send(parent_, r);
-    }
-  }
-
-  frozen_.clear();
-  parent_ = successor;
-  departed_ = true;
-}
 
 void HlsEngine::begin_recovery(std::uint32_t new_view, NodeId new_root,
                                const std::set<NodeId>& survivors) {
-  if (departed_) throw std::logic_error("departed engines do not recover");
   if (new_view <= view_)
     throw std::invalid_argument("recovery view must increase");
   if (!new_root.valid()) throw std::invalid_argument("invalid new root");
@@ -552,58 +484,8 @@ void HlsEngine::begin_recovery(std::uint32_t new_view, NodeId new_root,
   if (has_token_ && recovery_waiting_.empty()) {
     check_queue_token();
     if (has_token_) recompute_frozen_token();
+    pump_backlog();
   }
-}
-
-void HlsEngine::handle_departed(const Message& m) {
-  switch (m.kind) {
-    case MsgKind::kRequest: {
-      // Keep routing toward the live tree.
-      Message fwd;
-      fwd.kind = MsgKind::kRequest;
-      fwd.req = m.req;
-      send(parent_, fwd);
-      return;
-    }
-    case MsgKind::kHandoff: {
-      // A cascading leave picked us as successor after we left ourselves.
-      Message fwd = m;
-      send(parent_, std::move(fwd));
-      return;
-    }
-    case MsgKind::kAttach: {
-      // Someone was told to attach to us; redirect them.
-      Message r;
-      r.kind = MsgKind::kReparent;
-      r.req.requester = parent_;
-      send(m.from, r);
-      return;
-    }
-    case MsgKind::kReparent:
-      // Keep our forwarding target fresh.
-      parent_ = m.req.requester;
-      return;
-    case MsgKind::kRelease:
-    case MsgKind::kFreeze:
-      return;  // stale; the sender has been / will be re-parented
-    default:
-      HLOCK_LOG(kError, "departed node " << self_ << " got "
-                                         << to_string(m.kind));
-      return;
-  }
-}
-
-void HlsEngine::handle_reparent(const Message& m) {
-  if (has_token_) return;  // stale: we became the root meanwhile
-  const NodeId new_parent = m.req.requester;
-  if (!new_parent.valid() || new_parent == self_) return;
-  parent_ = new_parent;
-  if (owned_mode() == kNone) return;  // plain probable-owner hint update
-  Message a;
-  a.kind = MsgKind::kAttach;
-  a.mode = owned_mode();
-  a.grant_seq = grants_received_[new_parent];
-  send(new_parent, a);
 }
 
 void HlsEngine::handle_attach(const Message& m) {
@@ -616,29 +498,11 @@ void HlsEngine::handle_attach(const Message& m) {
   if (barrier_open && !recovery_waiting_.empty()) return;  // still waiting
   if (has_token_) {
     check_queue_token();
-    if (has_token_) {
-      recompute_frozen_token();
-    }
+    if (has_token_) recompute_frozen_token();
   }
   push_freeze_updates();
-}
-
-void HlsEngine::handle_handoff(const Message& m) {
-  // Unsolicited token from a departing root. Unlike kToken this answers
-  // no local request; our own queued entries (if our request sat in the
-  // leaver's queue) stay in and get served by check_queue_token.
-  has_token_ = true;
-  parent_ = NodeId::invalid();
-  locality_streak_ = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(m.grant_seq, 0xffffffffULL));
-
-  adopt_shipped_queue(m.queue, /*drop_self=*/false);
-
-  check_queue_token();
-  if (has_token_) {
-    recompute_frozen_token();
-    push_freeze_updates();
-  }
+  // Queue service may have admitted our own pending request; the local
+  // requests issued after it follow.
   pump_backlog();
 }
 
@@ -846,7 +710,7 @@ void HlsEngine::handle_token(const Message& m) {
 
   // Merge the shipped queue with anything we queued while non-token. Our
   // own in-flight request is the one the token answers; drop any echo.
-  adopt_shipped_queue(m.queue, /*drop_self=*/true);
+  adopt_shipped_queue(m.queue);
 
   if (pending_->upgrade) {
     const Mode rest = owned_mode_excluding_hold(pending_->id);
@@ -1007,7 +871,7 @@ void HlsEngine::check_queue_token() {
 
     if (q.requester == self_) {
       if (q.upgrade) {
-        if (!pending_ || !upgrading_hold_) {
+        if (!pending_ || !pending_->upgrade) {
           erase_queued(0);  // stale entry
           continue;
         }

@@ -57,10 +57,8 @@ void HlsNode::begin_recovery(std::uint32_t view, NodeId new_root,
   recovery_view_ = view;
   recovery_root_ = new_root;
   recovery_survivors_ = survivors;
-  for (auto& [lock, eng] : engines_) {
-    if (eng->departed()) continue;
+  for (auto& [lock, eng] : engines_)
     eng->begin_recovery(view, new_root, survivors);
-  }
 }
 
 void HlsNode::handle(const Message& m) { engine(m.lock).handle(m); }

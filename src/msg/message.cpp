@@ -12,9 +12,7 @@ const char* to_string(MsgKind k) {
     case MsgKind::kNaimiRequest: return "naimi_request";
     case MsgKind::kNaimiToken: return "naimi_token";
     case MsgKind::kAck: return "ack";
-    case MsgKind::kReparent: return "reparent";
     case MsgKind::kAttach: return "attach";
-    case MsgKind::kHandoff: return "handoff";
   }
   return "?";
 }
@@ -73,8 +71,7 @@ Message decode(const std::uint8_t* data, std::size_t size) {
   ByteReader r(data, size);
   Message m;
   const auto kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(MsgKind::kHandoff))
-    throw DecodeError("bad message kind");
+  if (kind >= kMsgKindCount) throw DecodeError("bad message kind");
   m.kind = static_cast<MsgKind>(kind);
   m.lock = LockId{r.u32()};
   m.from = NodeId{r.u32()};

@@ -118,8 +118,8 @@ class Simulator {
 
   /// Borrow an empty QueuedRequest buffer, reusing the capacity of a
   /// previously delivered Message::queue when one is pooled. Senders that
-  /// ship queues (token transfers, handoffs) fill these instead of
-  /// growing a fresh vector from zero every time.
+  /// ship queues (token transfers) fill these instead of growing a fresh
+  /// vector from zero every time.
   [[nodiscard]] std::vector<QueuedRequest> acquire_queue_buffer();
 
   /// Recycle hook: drained Message::queue storage returns here (called

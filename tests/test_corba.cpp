@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,36 +197,35 @@ TEST(CorbaService, IntentThenLeafHierarchy) {
   table0.unlock(it0);
 }
 
-TEST(CorbaService, GracefulLeaveOverTcp) {
+TEST(CorbaService, DepartureOverTcpIsAViewChange) {
   Fixture f(3);
   LockSet a = f.services[0]->lock_set(kTable);
   LockSet b = f.services[1]->lock_set(kTable);
   LockSet c = f.services[2]->lock_set(kTable);
 
-  // Give everyone some history so the tree is non-trivial.
+  // Give everyone some history so the tree is non-trivial; node 1 keeps a
+  // hold across the first departure.
   const auto ha = a.lock(LockMode::kRead);
   const auto hb = b.lock(LockMode::kRead);
   a.unlock(ha);
-  b.unlock(hb);
 
-  // Whoever holds the token can leave to node 2; the others just leave.
-  // Node 0 started as root; after read traffic the token may have moved,
-  // so pass a successor unconditionally (ignored by non-roots).
-  f.services[0]->leave(kTable, NodeId{2});
+  // Node 0 (the initial root) leaves: it holds nothing and waits for
+  // nothing, so the survivors move to view 1 without it, the new root
+  // (node 1, the lowest survivor) first.
+  const std::set<NodeId> v1{NodeId{1}, NodeId{2}};
+  f.services[1]->recover(kTable, 1, NodeId{1}, v1);
+  f.services[2]->recover(kTable, 1, NodeId{1}, v1);
+  // Node 1's R survived the view change and still excludes a writer.
+  EXPECT_FALSE(c.try_lock_for(LockMode::kWrite, msec(50)).has_value());
+  b.unlock(hb);
   const auto hc = c.lock(LockMode::kWrite);  // cluster still fully works
   c.unlock(hc);
-  f.services[1]->leave(kTable, NodeId{2});
+
+  // Node 1 leaves too; node 2 is alone in view 2.
+  f.services[2]->recover(kTable, 2, NodeId{2}, {NodeId{2}});
   const auto hc2 = c.lock(LockMode::kUpgrade);
   const auto hw = c.change_mode(hc2, LockMode::kWrite);
   c.unlock(hw);
-}
-
-TEST(CorbaService, LeaveWithLiveHoldsIsRefused) {
-  Fixture f(2);
-  LockSet a = f.services[0]->lock_set(kTable);
-  const auto ha = a.lock(LockMode::kRead);
-  EXPECT_THROW(f.services[0]->leave(kTable, NodeId{1}), std::logic_error);
-  a.unlock(ha);
 }
 
 TEST(CorbaService, GrantWakesTheRequestThatAskedAcrossLockSets) {

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/hls_engine.hpp"
@@ -364,6 +365,51 @@ TEST(HlsEngine, UpgradeWaitsForCompatibleReader) {
   EXPECT_EQ(net.acquired['A'].size(), 1u);  // the U grant, not again
   EXPECT_EQ(net['A'].holds().at(ua), Mode::kW);
   net['A'].unlock(ua);
+}
+
+// An upgrade queued behind an earlier local request pins its U from the
+// moment upgrade() accepts it: the hold cannot be released, weakened,
+// cancelled or upgraded twice meanwhile, and the eventual W grant lands on
+// the id that is still held.
+TEST(HlsEngine, BackloggedUpgradePinsItsHold) {
+  Net net;
+  net.add('A', 'A');
+  net.add('B', 'A');
+  net.add('C', 'A');
+  const RequestId ub = net.request('B', Mode::kU);  // the token moves to B
+  net.pump();
+  ASSERT_TRUE(net['B'].is_token_node());
+  (void)net.request('C', Mode::kIW);  // queued at B behind the U: freezes R
+  net.pump();
+  ASSERT_EQ(net['B'].queue().size(), 1u);
+  const RequestId rb = net.request('B', Mode::kR);  // frozen: pending
+  ASSERT_TRUE(net['B'].has_pending());
+  net.upgrade('B', ub);
+  EXPECT_EQ(net['B'].backlog_size(), 1u);
+
+  EXPECT_THROW(net['B'].unlock(ub), std::logic_error);
+  EXPECT_THROW(net['B'].downgrade(ub, Mode::kR), std::logic_error);
+  EXPECT_THROW(net['B'].downgrade(ub, Mode::kNone), std::logic_error);
+  EXPECT_THROW(net['B'].cancel(ub), std::logic_error);
+  EXPECT_THROW(net.upgrade('B', ub), std::logic_error);
+  EXPECT_EQ(net['B'].holds().at(ub), Mode::kU);
+
+  // C leaves the view, and its queued IW with it; B (the new root) admits
+  // its pending R once A's attach closes the barrier.
+  const std::set<NodeId> ab{id_of('A'), id_of('B')};
+  net['B'].begin_recovery(1, id_of('B'), ab);
+  net['A'].begin_recovery(1, id_of('B'), ab);
+  net.pump();
+  ASSERT_EQ(net.acquired['B'].size(), 2u);
+  EXPECT_EQ(net.acquired['B'][1], std::make_pair(rb, Mode::kR));
+  EXPECT_TRUE(net.upgraded['B'].empty());  // B's own R still blocks W
+  net['B'].unlock(rb);
+  net.pump();
+  ASSERT_EQ(net.upgraded['B'].size(), 1u);
+  EXPECT_EQ(net.upgraded['B'][0], ub);
+  ASSERT_EQ(net['B'].holds().size(), 1u);
+  EXPECT_EQ(net['B'].holds().at(ub), Mode::kW);
+  net['B'].unlock(ub);
 }
 
 TEST(HlsEngine, RemoteUpgraderReceivesToken) {

@@ -36,7 +36,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllKinds, CodecRoundTrip,
     ::testing::Values(MsgKind::kRequest, MsgKind::kGrant, MsgKind::kToken,
                       MsgKind::kRelease, MsgKind::kFreeze,
-                      MsgKind::kNaimiRequest, MsgKind::kNaimiToken),
+                      MsgKind::kNaimiRequest, MsgKind::kNaimiToken,
+                      MsgKind::kAck, MsgKind::kAttach),
     [](const auto& pinfo) { return to_string(pinfo.param); });
 
 TEST(Codec, TokenWithQueueRoundTrips) {
@@ -74,6 +75,12 @@ TEST(Codec, RejectsTrailingGarbage) {
 TEST(Codec, RejectsBadKind) {
   auto bytes = encode(base_message(MsgKind::kRequest));
   bytes[0] = 200;
+  EXPECT_THROW(decode(bytes), DecodeError);
+  // The kinds are dense: every byte below kMsgKindCount decodes, the first
+  // one past it does not.
+  bytes[0] = static_cast<std::uint8_t>(kMsgKindCount - 1);
+  EXPECT_EQ(decode(bytes).kind, MsgKind::kAttach);
+  bytes[0] = static_cast<std::uint8_t>(kMsgKindCount);
   EXPECT_THROW(decode(bytes), DecodeError);
 }
 
@@ -141,6 +148,8 @@ TEST(MsgKindNames, AllDistinct) {
   EXPECT_STREQ(to_string(MsgKind::kFreeze), "freeze");
   EXPECT_STREQ(to_string(MsgKind::kNaimiRequest), "naimi_request");
   EXPECT_STREQ(to_string(MsgKind::kNaimiToken), "naimi_token");
+  EXPECT_STREQ(to_string(MsgKind::kAck), "ack");
+  EXPECT_STREQ(to_string(MsgKind::kAttach), "attach");
 }
 
 }  // namespace
