@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -125,5 +126,31 @@ class TestBus {
   std::map<MsgKind, std::uint64_t> by_kind_;
   std::uint64_t total_sent_{0};
 };
+
+/// View change over test engines: node k's engine is `engines[k]` (a
+/// pointer, null for no node), and every engine whose `gone[k]` is clear
+/// survives. Each survivor calls begin_recovery(view, root, survivors),
+/// `root` first: an engine drops messages from a newer view, so an attach
+/// from a survivor that recovered before the root would be lost and the
+/// root's barrier would never complete. `root` defaults to the lowest
+/// survivor, as ViewService picks it. Returns the survivors.
+template <typename Engines>
+std::set<NodeId> view_change(const Engines& engines,
+                             const std::vector<bool>& gone,
+                             std::uint32_t view,
+                             NodeId root = NodeId::invalid()) {
+  std::set<NodeId> survivors;
+  for (std::size_t k = 0; k < engines.size(); ++k) {
+    if (engines[k] && !gone[k])
+      survivors.insert(NodeId{static_cast<std::uint32_t>(k)});
+  }
+  if (survivors.empty()) throw std::logic_error("view change without nodes");
+  if (!root.valid()) root = *survivors.begin();
+  engines[root.value]->begin_recovery(view, root, survivors);
+  for (const NodeId s : survivors) {
+    if (s != root) engines[s.value]->begin_recovery(view, root, survivors);
+  }
+  return survivors;
+}
 
 }  // namespace hlock::testing
